@@ -31,7 +31,7 @@ std::string_view EvidenceMatcher::MemoKey(ClassId type, const Similarity& sim,
                                           std::string_view value) {
   // Fixed-width binary header + value bytes, assembled into a reusable
   // buffer: no std::to_string / Similarity::ToString allocation per node
-  // check, and the same encoding for the private memo and the shared cache.
+  // check.
   key_scratch_.clear();
   AppendPod(&key_scratch_, type.value());
   AppendPod(&key_scratch_, static_cast<uint8_t>(sim.kind()));
@@ -100,44 +100,12 @@ std::span<const ItemId> EvidenceMatcher::NodeCandidatesRef(
     std::vector<ItemId>* storage) {
   ++stats_.node_checks;
   DETECTIVE_COUNT("matcher.node_queries");
-  // Before any memo or cache lookup, so a tuple sees the same probe-hit
-  // sequence whether the caches are warm or cold — the parallel-vs-sequential
-  // identity the chaos tests assert depends on it.
+  // Before any memo lookup, so a tuple sees the same probe-hit sequence
+  // whether the memo is warm or cold — the parallel-vs-sequential identity
+  // the chaos tests assert depends on it.
   DETECTIVE_FAULT_POINT_CANCEL("kb.lookup", cancel_);
-  const bool memoised = options_.use_value_memo || shared_cache_ != nullptr;
-  std::string_view key;
-  if (memoised) key = MemoKey(type, sim, value);
-
-  if (shared_cache_ != nullptr) {
-    // Shared cache first: a value checked by any worker is free for all.
-    // Exactly one Find() per node check, so cache.hits + cache.misses equals
-    // matcher.node_queries for shared runs (asserted in metrics_test).
-    if (const std::vector<ItemId>* cached = shared_cache_->Find(key)) {
-      ++stats_.shared_hits;
-      DETECTIVE_COUNT("cache.hits");
-      return *cached;
-    }
-    ++stats_.shared_misses;
-    DETECTIVE_COUNT("cache.misses");
-    // The private memo doubles as the overflow store for inserts the cache
-    // rejected at capacity; consult it before recomputing.
-    if (auto it = memo_.find(key); it != memo_.end()) {
-      ++stats_.memo_hits;
-      DETECTIVE_COUNT("matcher.memo_hits");
-      return it->second;
-    }
-    std::vector<ItemId> computed;
-    ComputeCandidates(type, sim, value, &computed);
-    if (const std::vector<ItemId>* stored =
-            shared_cache_->Insert(key, std::move(computed))) {
-      return *stored;
-    }
-    DETECTIVE_COUNT("cache.evictions");
-    auto [it, inserted] = memo_.try_emplace(std::string(key), std::move(computed));
-    return it->second;
-  }
-
   if (options_.use_value_memo) {
+    std::string_view key = MemoKey(type, sim, value);
     if (auto it = memo_.find(key); it != memo_.end()) {
       ++stats_.memo_hits;
       DETECTIVE_COUNT("matcher.memo_hits");
@@ -467,5 +435,11 @@ std::vector<std::string> EvidenceMatcher::NegativeCorrections(
 }
 
 void EvidenceMatcher::ClearMemo() { memo_.clear(); }
+
+bool EvidenceMatcher::TrimMemo(size_t max_entries) {
+  if (memo_.size() <= max_entries) return false;
+  ClearMemo();
+  return true;
+}
 
 }  // namespace detective

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/sharded_cache.h"
 #include "core/bound_rule.h"
 #include "kb/knowledge_base.h"
 #include "relation/relation.h"
@@ -19,12 +18,6 @@ namespace detective {
 
 class CancelToken;
 class MatchPlan;
-
-/// Cross-worker candidate memo: packed (type, sim, value) key → the sorted
-/// candidate ItemIds (§IV-B(3) value memo, shared across repair threads).
-/// Entry pointers stay valid for the cache's lifetime, so matchers hand out
-/// spans into it without copying.
-using SharedCandidateCache = ShardedCache<std::vector<ItemId>>;
 
 /// Tuning and ablation knobs for instance-level matching.
 struct MatcherOptions {
@@ -65,9 +58,7 @@ struct NegativeWitness {
 /// Counters for the efficiency experiments.
 struct MatcherStats {
   size_t node_checks = 0;        // candidate-set computations requested
-  size_t memo_hits = 0;          // served from the private value memo
-  size_t shared_hits = 0;        // served from the shared candidate cache
-  size_t shared_misses = 0;      // shared-cache lookups that had to compute
+  size_t memo_hits = 0;          // served from the value memo
   size_t index_lookups = 0;      // served by a signature index
   size_t scans = 0;              // served by a linear scan
   size_t assignments_explored = 0;
@@ -88,23 +79,19 @@ class EvidenceMatcher {
                                      std::string_view value);
 
   /// Zero-copy variant of NodeCandidates for the search hot path: returns a
-  /// span over the memoised candidate set (private memo or shared cache), or
-  /// over `*storage` after computing into it when nothing memoises the
-  /// result. The span stays valid until ClearMemo() — memo entries are never
-  /// evicted, shared-cache entries never move — or, for the storage case,
-  /// until `*storage` is next modified.
+  /// span over the memoised candidate set, or over `*storage` after
+  /// computing into it when the memo is off. The span stays valid until
+  /// ClearMemo() — memo entries are never evicted — or, for the storage
+  /// case, until `*storage` is next modified.
   std::span<const ItemId> NodeCandidatesRef(ClassId type, const Similarity& sim,
                                             std::string_view value,
                                             std::vector<ItemId>* storage);
 
-  /// Installs the shared read-only match plan and/or cross-worker candidate
-  /// cache (core/match_plan.h, common/sharded_cache.h). Either may be null;
-  /// both must outlive the matcher's use of them. Sharing never changes
-  /// results — only where the indexes and memo entries live.
-  void SetShared(const MatchPlan* plan, SharedCandidateCache* cache) {
-    plan_ = plan;
-    shared_cache_ = cache;
-  }
+  /// Installs the frozen read-only match plan (core/match_plan.h) shared by
+  /// every worker; null (the default) builds indexes lazily and privately.
+  /// The plan must outlive the matcher's use of it. It never changes
+  /// results — only where the indexes live.
+  void set_plan(const MatchPlan* plan) { plan_ = plan; }
 
   /// Proof positive: does an instance-level match of the positive side
   /// (evidence ∪ {p}) exist for `tuple`?
@@ -172,6 +159,13 @@ class EvidenceMatcher {
 
   /// Drops the value memo (for the ablation benchmarks).
   void ClearMemo();
+  /// Bounds a long-lived matcher's memory: drops the memo once it holds more
+  /// than `max_entries`. Call between chases only — it invalidates the spans
+  /// NodeCandidatesRef handed out. Returns whether it cleared.
+  bool TrimMemo(size_t max_entries);
+  /// Entries in the value memo: one per distinct (type, sim, value) checked
+  /// since construction or the last clear.
+  size_t memo_size() const { return memo_.size(); }
 
   const KnowledgeBase& kb() const { return kb_; }
   const MatcherOptions& options() const { return options_; }
@@ -193,7 +187,7 @@ class EvidenceMatcher {
                            std::string_view value);
 
   /// Computes the candidate set into `*out` (sorted, deduplicated) — the
-  /// uncached fallback behind both memo layers.
+  /// uncached fallback behind the memo.
   void ComputeCandidates(ClassId type, const Similarity& sim,
                          std::string_view value, std::vector<ItemId>* out);
 
@@ -204,12 +198,10 @@ class EvidenceMatcher {
   MatcherStats stats_;
   CancelToken* cancel_ = nullptr;
 
-  // Shared, frozen state owned by the parallel driver (never owned here).
+  // Shared, frozen plan owned by the caller (never owned here).
   const MatchPlan* plan_ = nullptr;
-  SharedCandidateCache* shared_cache_ = nullptr;
 
-  // Private value memo (and, when the shared cache rejects an insert at
-  // capacity, its per-worker overflow store).
+  // Private value memo (§IV-B(3)).
   std::unordered_map<std::string, std::vector<ItemId>, StringViewHash,
                      std::equal_to<>>
       memo_;

@@ -288,6 +288,7 @@ Result<IncrementalStats> IncrementalRepair(
     parallel_options.quarantine =
         options.quarantine != nullptr ? &fresh_quarantine : nullptr;
     parallel_options.row_subset = &plan.affected_rows;
+    parallel_options.plan = options.plan;
     ASSIGN_OR_RETURN(stats.repair,
                      ParallelRepair(kb, rules, relation, parallel_options));
   }

@@ -549,30 +549,6 @@ bool FastRepairer::RepairTupleGuarded(size_t row, Deadline run_deadline,
   return false;
 }
 
-void FastRepairer::RepairRelationGuarded(Relation* relation,
-                                         QuarantineLog* quarantine) {
-  DETECTIVE_SCOPED_TIMER("repair.relation");
-  DETECTIVE_TRACE_SPAN(
-      "repair.relation",
-      {"rows", static_cast<int64_t>(relation->num_tuples())});
-  const uint64_t deadline_ms = engine_.options().deadline_ms;
-  Deadline run_deadline = deadline_ms > 0 ? Deadline::AfterMs(deadline_ms)
-                                          : Deadline::Infinite();
-  QuarantineLog ledger;
-  for (size_t row = 0; row < relation->num_tuples(); ++row) {
-    Tuple tuple = relation->tuple(row);
-    if (RepairTupleGuarded(row, run_deadline, &tuple, &ledger)) {
-      relation->CommitRow(row, tuple);
-    }
-    // Quarantined rows count too: the heartbeat reports rows *finalized*
-    // (committed or rolled back), so it reaches rows_total even on chaos runs.
-    DETECTIVE_PROGRESS(AddRowsCommitted(1));
-  }
-  BreakerFixpoint(*this, relation, run_deadline, &ledger);
-  ledger.Canonicalize();
-  if (quarantine != nullptr) quarantine->Merge(std::move(ledger));
-}
-
 void BreakerFixpoint(FastRepairer& repairer, Relation* relation,
                      Deadline run_deadline, QuarantineLog* quarantine) {
   RuleEngine& engine = repairer.engine();

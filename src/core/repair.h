@@ -140,12 +140,10 @@ class RuleEngine {
   RepairStats& stats() { return stats_; }
   const RepairStats& stats() const { return stats_; }
 
-  /// Forwards the shared frozen match plan / cross-worker candidate cache to
-  /// the matcher (core/match_plan.h). Results are identical with or without
-  /// sharing; only where indexes and memo entries live changes.
-  void SetShared(const MatchPlan* plan, SharedCandidateCache* cache) {
-    matcher_->SetShared(plan, cache);
-  }
+  /// Forwards the shared frozen match plan to the matcher
+  /// (core/match_plan.h). Results are identical with or without it; only
+  /// where the signature indexes live changes.
+  void set_plan(const MatchPlan* plan) { matcher_->set_plan(plan); }
 
   /// Installs a provenance sink: every subsequent Apply() records one
   /// explainable entry per cell change / proof (core/provenance.h). The log
@@ -236,6 +234,9 @@ class FastRepairer {
   Status Init();
 
   void RepairTuple(Tuple* tuple);
+  /// The unguarded sequential reference loop over every row. Production
+  /// relation runs go through ParallelRepair (core/parallel_repair.h), the
+  /// one relation driver; tests compare it against this loop.
   void RepairRelation(Relation* relation);
   std::vector<Tuple> RepairMultiVersion(const Tuple& tuple);
 
@@ -246,11 +247,6 @@ class FastRepairer {
   /// appended to `quarantine` (may be null), and false is returned.
   bool RepairTupleGuarded(size_t row, Deadline run_deadline, Tuple* tuple,
                           QuarantineLog* quarantine);
-
-  /// Guarded relation repair: RepairTupleGuarded over every row, then the
-  /// circuit-breaker fixpoint (BreakerFixpoint). The final ledger is merged
-  /// into `quarantine` (may be null) in canonical order.
-  void RepairRelationGuarded(Relation* relation, QuarantineLog* quarantine);
 
   RuleEngine& engine() { return engine_; }
   const RepairStats& stats() const { return engine_.stats(); }
@@ -265,8 +261,8 @@ class FastRepairer {
   std::vector<uint32_t> check_order_;
 };
 
-/// Circuit-breaker fixpoint shared by the sequential and parallel drivers:
-/// tallies the rules blamed in `quarantine`, disables every not-yet-disabled
+/// Circuit-breaker fixpoint run by the relation driver after its guarded
+/// pass: tallies the rules blamed in `quarantine`, disables every not-yet-disabled
 /// rule blamed `max_rule_failures`-or-more times (RepairOptions), re-chases
 /// the rows its victims were quarantined for (their records are replaced by
 /// the retry's outcome), and repeats until no new rule trips — at most

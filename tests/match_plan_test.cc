@@ -147,7 +147,7 @@ TEST(MatchPlanTest, MatcherWithPlanMatchesMatcherWithout) {
   MatchPlan plan = MatchPlan::Build(fx.kb, fx.engine.bound_rules(), 1);
 
   EvidenceMatcher with_plan(fx.kb);
-  with_plan.SetShared(&plan, nullptr);
+  with_plan.set_plan(&plan);
   EvidenceMatcher without_plan(fx.kb);
 
 #if DETECTIVE_METRICS_ENABLED

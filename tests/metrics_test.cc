@@ -355,9 +355,9 @@ TEST_F(MetricsTest, RegisteredNamesAreSortedAndComplete) {
   EXPECT_EQ(Registry::Global().Snapshot().counter("test.names.alpha"), 1u);
 }
 
-// Parallel repair over the shared match plan / candidate cache must still
-// sum its thread-local metric shards to exactly the sequential run's repair
-// totals — and the new sharing counters must account for every node check.
+// Parallel repair over the shared match plan and private value memos must
+// still sum its thread-local metric shards to exactly the sequential run's
+// repair totals — and the memo counters must account for every node check.
 TEST_F(MetricsTest, ParallelRepairWithSharedStateSumsToSequential) {
   KnowledgeBase kb = testing::BuildFigure1Kb();
   std::vector<DetectiveRule> rules = testing::BuildFigure4Rules();
@@ -383,10 +383,13 @@ TEST_F(MetricsTest, ParallelRepairWithSharedStateSumsToSequential) {
         "repair.chase_rounds", "matcher.node_queries"}) {
     EXPECT_EQ(par.counter(name), seq.counter(name)) << name;
   }
-  // Sharing bookkeeping: every node check is exactly one shared-cache
-  // lookup, the plan built its indexes exactly once, workers built none, and
-  // the steal counter mirrors the merged stats.
-  EXPECT_EQ(par.counter("cache.hits") + par.counter("cache.misses"),
+  // Sharing bookkeeping: every node check is a memo hit or one candidate
+  // computation (a label-index lookup for equality nodes, a signature-index
+  // lookup otherwise), the plan built its indexes exactly once, workers
+  // built none, and the steal counter mirrors the merged stats.
+  EXPECT_EQ(par.counter("matcher.memo_hits") +
+                par.counter("matcher.label_index_lookups") +
+                par.counter("matcher.signature_lookups"),
             par.counter("matcher.node_queries"));
   EXPECT_GT(par.counter("matchplan.indexes_built"), 0u);
   EXPECT_EQ(par.counter("matcher.index_builds"), 0u);

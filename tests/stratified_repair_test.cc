@@ -186,7 +186,7 @@ TEST(StratifiedRepairTest, FaultPlanDisablesElisionButNotIdentity) {
     ArmedPlan armed(kPlan);
     FastRepairer repairer(c.kb, c.dirty.schema(), c.rules);
     ASSERT_TRUE(repairer.Init().ok());
-    repairer.RepairRelationGuarded(&classic, &classic_quarantine);
+    testing::GuardedSequentialRepair(repairer, &classic, &classic_quarantine);
   }
   EXPECT_GT(classic_quarantine.size(), 0u);
 

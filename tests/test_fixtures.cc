@@ -1,5 +1,8 @@
 #include "test_fixtures.h"
 
+#include <utility>
+
+#include "common/deadline.h"
 #include "common/logging.h"
 
 namespace detective::testing {
@@ -173,6 +176,23 @@ END
   auto rules = ParseRules(kRules);
   rules.status().Abort("BuildFigure4Rules");
   return *rules;
+}
+
+void GuardedSequentialRepair(FastRepairer& repairer, Relation* relation,
+                             QuarantineLog* quarantine) {
+  const uint64_t deadline_ms = repairer.engine().options().deadline_ms;
+  const Deadline run_deadline =
+      deadline_ms > 0 ? Deadline::AfterMs(deadline_ms) : Deadline::Infinite();
+  QuarantineLog ledger;
+  for (size_t row = 0; row < relation->num_tuples(); ++row) {
+    Tuple tuple = relation->tuple(row);
+    if (repairer.RepairTupleGuarded(row, run_deadline, &tuple, &ledger)) {
+      relation->CommitRow(row, tuple);
+    }
+  }
+  BreakerFixpoint(repairer, relation, run_deadline, &ledger);
+  ledger.Canonicalize();
+  if (quarantine != nullptr) quarantine->Merge(std::move(ledger));
 }
 
 }  // namespace detective::testing

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "core/quarantine.h"
+#include "core/repair.h"
 #include "core/rule.h"
 #include "core/rule_io.h"
 #include "kb/knowledge_base.h"
@@ -34,6 +36,14 @@ Relation BuildTableIClean();
 /// The four Fig. 4 rules: phi1 (Institution), phi2 (City), phi3 (Country),
 /// phi4 (Prize).
 std::vector<DetectiveRule> BuildFigure4Rules();
+
+/// The guarded sequential reference that ParallelRepair's guarded policy
+/// must reproduce: RepairTupleGuarded over every row in ascending order
+/// under one run deadline (RepairOptions::deadline_ms), then the
+/// circuit-breaker fixpoint. The ledger is merged into `quarantine` (may be
+/// null) in canonical order. `repairer` must be initialized.
+void GuardedSequentialRepair(FastRepairer& repairer, Relation* relation,
+                             QuarantineLog* quarantine);
 
 }  // namespace detective::testing
 

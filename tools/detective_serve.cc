@@ -5,8 +5,8 @@
 //                   [--default-deadline-ms=N] [--tuple-budget-ms=N]
 //                   [--drain-timeout-ms=5000] [--allow-fault-header] ...
 //
-// Loads the KB and rule set once, freezes the match plan and shared
-// candidate cache, and serves cleaning requests over loopback HTTP until
+// Freezes one pipeline (KB, rule set, lint/stratify gates, match plan;
+// core/pipeline.h), and serves cleaning requests over loopback HTTP until
 // SIGTERM/SIGINT, then drains gracefully: the listener closes, queued and
 // in-flight requests finish under a tightened deadline, and the process
 // exits 0. The endpoint surface, request/response formats, and the
@@ -41,7 +41,6 @@ namespace detective {
 namespace {
 
 constexpr int kExitRuntimeFailure = 1;
-constexpr int kExitRejectedByAnalysis = 3;
 constexpr int kExitUsage = 64;
 
 struct Args {
@@ -257,9 +256,7 @@ int Run(const Args& args) {
   Status init = service.Init(std::move(options));
   if (!init.ok()) {
     logs::Error("serve", "init_failed", init.ToString());
-    if (service.rejected_snapshot()) return kExitUsage;
-    return service.rejected_by_analysis() ? kExitRejectedByAnalysis
-                                          : kExitRuntimeFailure;
+    return service.pipeline().FailureExitCode();
   }
 
   // ---- Start the listener ----
