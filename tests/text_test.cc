@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "common/random.h"
 #include "text/edit_distance.h"
@@ -201,6 +202,13 @@ struct IndexPropertyParam {
   Similarity sim;
   uint64_t seed;
 };
+
+// Names each case by its operation and seed. Without it gtest prints the
+// parameter's raw bytes, padding included, so the case names would change
+// from build to build.
+void PrintTo(const IndexPropertyParam& param, std::ostream* os) {
+  *os << "sim " << param.sim.ToString() << " seed " << param.seed;
+}
 
 class SignatureIndexProperty : public ::testing::TestWithParam<IndexPropertyParam> {};
 
