@@ -36,6 +36,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -137,6 +138,33 @@ class TraceSession {
 /// count lands in exactly one epoch even if worker threads race the call.
 inline std::map<std::string, uint64_t> DrainCounters() {
   return metrics::Registry::Global().SnapshotAndReset().counters;
+}
+
+/// Counters a multi-threaded chase cannot pin, published as "sched.<name>".
+/// Each ParallelRepair worker keeps a private value memo that warms on the
+/// chunks it happens to claim, so at two or more threads the schedule
+/// decides how many node checks a worker computes rather than serves from
+/// its memo — and with them the label lookups, instance checks and
+/// signature-index work behind each computed check — while the checks
+/// themselves (matcher.node_queries and the search counters) do not move.
+/// Renamed, these get their own regression band (--band 'sched.*=TOL') and
+/// the same counters of every sequential series stay exact.
+inline std::map<std::string, uint64_t> ScheduleDependent(
+    std::map<std::string, uint64_t> counters) {
+  static const char* const kMemoDependent[] = {
+      "kb.instance_checks",          "kb.label_hits",
+      "kb.label_lookups",            "matcher.label_index_lookups",
+      "matcher.memo_hits",           "matcher.signature_lookups",
+      "sigindex.candidates_verified", "sigindex.probes",
+      "sigindex.queries",
+  };
+  for (const char* name : kMemoDependent) {
+    auto node = counters.extract(name);
+    if (node.empty()) continue;
+    node.key() = std::string("sched.") + name;
+    counters.insert(std::move(node));
+  }
+  return counters;
 }
 
 inline void PrintHeader(const char* title, const char* subtitle) {

@@ -14,10 +14,11 @@
 //
 // Two sink modes:
 //   * text (default): one line to stderr —
-//       [WARN clean] kb_load_failed: error loading KB path="x.nt" error="..."
+//       [ERROR clean] output_write_failed: error writing output: ... path="x"
 //   * JSONL (`detective_clean --log-json=FILE`, logs::OpenJsonFile) —
-//       {"ts_ms":1759...,"level":"warn","component":"clean",
-//        "event":"kb_load_failed","msg":"error loading KB","path":"x.nt",...}
+//       {"ts_ms":1759...,"level":"error","component":"clean",
+//        "event":"output_write_failed","msg":"error writing output: ...",
+//        "path":"x"}
 //     Reserved keys (ts_ms/level/component/event/msg) win on collision:
 //     a field with a reserved name is emitted with an "f_" prefix.
 //
