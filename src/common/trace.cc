@@ -164,6 +164,12 @@ Span::~Span() {
   ThisThreadRing().Push(event);
 }
 
+void Span::SetArgs(Arg a, Arg b) {
+  if (name_ == nullptr) return;
+  args_ = {a, b};
+  num_args_ = b.key != nullptr ? 2 : (a.key != nullptr ? 1 : 0);
+}
+
 void EmitInstant(const char* name, Arg a, Arg b) {
   if (!Registry::Global().enabled()) return;
   Event event;

@@ -161,6 +161,9 @@ class Span {
   explicit Span(const char* name, Arg a = {}, Arg b = {});
   ~Span();
 
+  /// Replaces the args, for values known only when the span ends.
+  void SetArgs(Arg a, Arg b = {});
+
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
@@ -179,6 +182,7 @@ void EmitInstant(const char* name, Arg a = {}, Arg b = {});
 class NoopSpan {
  public:
   explicit NoopSpan(const char*, Arg = {}, Arg = {}) {}
+  void SetArgs(Arg, Arg = {}) {}
   NoopSpan(const NoopSpan&) = delete;
   NoopSpan& operator=(const NoopSpan&) = delete;
 };
@@ -204,6 +208,8 @@ Status WriteChromeTraceJson(const std::vector<Event>& events,
   ::detective::trace::Span DETECTIVE_TRACE_CONCAT(                 \
       detective_trace_span_, __LINE__)(__VA_ARGS__)
 
+#define DETECTIVE_TRACE_NAMED_SPAN(var, ...) ::detective::trace::Span var(__VA_ARGS__)
+
 #define DETECTIVE_TRACE_INSTANT(...) ::detective::trace::EmitInstant(__VA_ARGS__)
 
 #else  // !DETECTIVE_METRICS_ENABLED
@@ -211,6 +217,9 @@ Status WriteChromeTraceJson(const std::vector<Event>& events,
 #define DETECTIVE_TRACE_SPAN(...)                                  \
   ::detective::trace::NoopSpan DETECTIVE_TRACE_CONCAT(             \
       detective_trace_span_, __LINE__)(__VA_ARGS__)
+
+#define DETECTIVE_TRACE_NAMED_SPAN(var, ...) \
+  ::detective::trace::NoopSpan var(__VA_ARGS__)
 
 #define DETECTIVE_TRACE_INSTANT(...) ::detective::trace::NoopInstant(__VA_ARGS__)
 

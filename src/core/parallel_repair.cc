@@ -192,7 +192,13 @@ Result<RepairStats> ParallelRepair(const KnowledgeBase& kb,
     for (size_t chunk = 0; chunk < num_chunks; ++chunk) commit(chunk);
   }
 
-  for (ProvenanceLog& log : chunk_logs) options.provenance->Merge(std::move(log));
+  if (!chunk_logs.empty()) {
+    size_t total = options.provenance->size();
+    for (const ProvenanceLog& log : chunk_logs) total += log.size();
+    options.provenance->Reserve(total);
+    // Merge frees each chunk log as it goes.
+    for (ProvenanceLog& log : chunk_logs) options.provenance->Merge(std::move(log));
+  }
 
   RepairStats merged;
   for (const RepairStats& part : stats) AccumulateStats(part, &merged);

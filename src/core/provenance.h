@@ -84,6 +84,9 @@ struct RepairProvenance {
   ///    "marked_columns": ["Institution", "Name"]}
   std::string ToJson() const;
 
+  /// Appends ToJson() to `out`, with no std::string per record.
+  void AppendJson(std::string* out) const;
+
   /// Parses a ToJson() document. Fields may appear in any order; unknown
   /// fields are rejected.
   static Result<RepairProvenance> FromJson(std::string_view json);
@@ -104,15 +107,21 @@ class ProvenanceLog {
 
   const std::vector<RepairProvenance>& records() const { return records_; }
 
-  /// Mutable access for log-rewriting passes (e.g. the incremental merge,
-  /// which moves records out of a consumed previous-run log instead of deep
-  /// copying them). Reordering entries breaks ForCell's log-order contract.
-  std::vector<RepairProvenance>& mutable_records() { return records_; }
+  /// Moves every record out, leaving the log empty.
+  std::vector<RepairProvenance> TakeRecords() {
+    std::vector<RepairProvenance> out;
+    out.swap(records_);
+    return out;
+  }
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
   void Clear() { records_.clear(); }
+  /// Sizes the log for `records` in total, so appending them never
+  /// reallocates (a reallocation holds the old and new arrays at once).
+  void Reserve(size_t records) { records_.reserve(records); }
 
-  /// Appends every record of `other` (left in a valid unspecified state).
+  /// Appends every record of `other` and releases its storage, so a merge
+  /// of many shards never holds a merged record twice.
   void Merge(ProvenanceLog&& other);
 
   /// Stable-sorts records by (row, column_index, round) so logs assembled
@@ -126,6 +135,7 @@ class ProvenanceLog {
 
   /// One ToJson() line per record, each terminated by '\n'.
   std::string ToJsonLines() const;
+  /// Writes ToJsonLines() through a ProvenanceWriter.
   Status WriteJsonLines(const std::string& path) const;
 
   /// Parses a ToJsonLines() document (blank lines are skipped).
@@ -135,6 +145,126 @@ class ProvenanceLog {
 
  private:
   std::vector<RepairProvenance> records_;
+};
+
+/// The fields of one provenance JSONL line that replaying it needs. Views
+/// point into the line, or into ProvenanceLineScanner's own storage.
+struct ProvenanceLineView {
+  uint64_t row = 0;
+  uint32_t column_index = 0;
+  ProvenanceKind kind = ProvenanceKind::kRepair;
+  std::string_view new_value;
+  std::vector<std::string_view> marked_columns;
+  /// The line is byte for byte ToJson(FromJson(line)), so it may be copied
+  /// to an output log verbatim.
+  bool verbatim = false;
+};
+
+/// Decodes provenance JSONL lines for replay without building records.
+/// A line in ToJson() form (key order, ", " separators, only the escapes
+/// AppendJsonString emits) is decoded in place; escaped values are
+/// unescaped into the scanner's scratch. Any other line goes through
+/// RepairProvenance::FromJson, so the scanner accepts exactly the lines
+/// FromJson accepts and fails with FromJson's status.
+class ProvenanceLineScanner {
+ public:
+  /// Scans one line; the view stays valid until the next call.
+  Result<const ProvenanceLineView*> Scan(std::string_view line);
+
+  /// The FromJson record of the last line scanned when it was not
+  /// verbatim (what an output log re-serializes).
+  const RepairProvenance& parsed() const { return parsed_; }
+
+ private:
+  bool ScanVerbatim(std::string_view line);
+
+  ProvenanceLineView view_;
+  std::string scratch_;
+  RepairProvenance parsed_;
+};
+
+/// Streams a provenance JSONL file: one read() per fixed-size block, lines
+/// split with memchr and scanned by ProvenanceLineScanner, blank lines
+/// skipped as FromJsonLines skips them. The log must be sorted by row, as
+/// every log detective_clean writes is; a row that goes backwards fails.
+/// The first failure sticks in status(), message-compatible with
+/// FromJsonLines ("provenance JSONL line N: ...").
+class ProvenanceFileReader {
+ public:
+  ProvenanceFileReader() = default;
+  ~ProvenanceFileReader();
+  ProvenanceFileReader(const ProvenanceFileReader&) = delete;
+  ProvenanceFileReader& operator=(const ProvenanceFileReader&) = delete;
+
+  Status Open(const std::string& path);
+
+  /// Advances to the next record. Returns false at the end of the file.
+  Result<bool> Next();
+
+  /// The current record's line (without its '\n') and its decoded view.
+  std::string_view line() const { return line_; }
+  const ProvenanceLineView& view() const { return *view_; }
+  const RepairProvenance& parsed() const { return scanner_.parsed(); }
+
+  const Status& status() const { return status_; }
+  uint64_t bytes_read() const { return bytes_read_; }
+  size_t records() const { return records_; }
+
+ private:
+  Result<bool> NextLine();
+  Status Fail(Status status);
+
+  static constexpr size_t kBlockBytes = size_t{1} << 20;
+
+  int fd_ = -1;
+  std::string path_;
+  std::vector<char> buffer_;
+  size_t begin_ = 0;     // unconsumed bytes are [begin_, end_)
+  size_t end_ = 0;
+  size_t searched_ = 0;  // bytes after begin_ known to hold no '\n'
+  bool eof_ = false;
+  std::string_view line_;
+  size_t line_number_ = 0;
+  uint64_t bytes_read_ = 0;
+  size_t records_ = 0;
+  uint64_t last_row_ = 0;
+  ProvenanceLineScanner scanner_;
+  const ProvenanceLineView* view_ = nullptr;
+  Status status_;
+};
+
+/// Writes provenance JSONL through a fixed buffer that is flushed to the
+/// file whenever it fills: records serialize straight into the buffer
+/// (AppendJson), verbatim lines are copied in.
+class ProvenanceWriter {
+ public:
+  ProvenanceWriter() = default;
+  ~ProvenanceWriter();
+  ProvenanceWriter(const ProvenanceWriter&) = delete;
+  ProvenanceWriter& operator=(const ProvenanceWriter&) = delete;
+
+  Status Open(const std::string& path);
+  void Append(const RepairProvenance& record);
+  /// Copies `line` and a '\n'.
+  void AppendLine(std::string_view line);
+  /// Flushes and closes; fails if any write failed.
+  Status Close();
+
+  uint64_t bytes() const { return bytes_ + buffer_.size(); }
+  size_t lines() const { return lines_; }
+
+ private:
+  void EndLine();
+  void Flush();
+
+  static constexpr size_t kFlushBytes = size_t{1} << 20;
+
+  int fd_ = -1;
+  std::string path_;
+  std::string buffer_;
+  bool failed_ = false;
+  uint64_t bytes_ = 0;
+  size_t lines_ = 0;
 };
 
 }  // namespace detective

@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <fcntl.h>
@@ -403,6 +404,107 @@ TEST(IncrementalExitCodes, FlagContract) {
   EXPECT_EQ(ExitCode(CleanCommand("--delta=" + delta_path +
                                   " --prev-provenance=/nonexistent.jsonl")),
             1);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// One provenance line of Table I's 6-column schema, in ToJson() form.
+std::string ProofLine(int row, int column_index) {
+  return "{\"row\": " + std::to_string(row) +
+         ", \"column_index\": " + std::to_string(column_index) +
+         ", \"column\": \"Name\", \"kind\": \"proof_positive\", "
+         "\"rule\": \"phi1\", \"round\": 1, \"old_value\": \"x\", "
+         "\"new_value\": \"x\", \"bindings\": [], \"evidence_edges\": [], "
+         "\"marked_columns\": [\"Name\"]}\n";
+}
+
+TEST(IncrementalExitCodes, BadPreviousProvenanceIsOne) {
+  // The previous log streams during the repair; a line FromJson rejects,
+  // rows going backwards, and a column index outside the schema each fail
+  // the run as a load/runtime failure.
+  const std::string delta_path = TempPath("exit_bad_prev_delta.csv");
+  WriteFile(delta_path, "row,Name,DOB,Country,Prize,Institution,City\n");
+  const std::string good_path = TempPath("exit_bad_prev_good.jsonl");
+  ASSERT_EQ(ExitCode(CleanCommand("--explain-json=" + good_path)), 0);
+  const std::string good = ReadFile(good_path);
+  ASSERT_FALSE(good.empty());
+  auto run = [&](const std::string& name, const std::string& log) {
+    const std::string path = TempPath(name);
+    WriteFile(path, log);
+    return ExitCode(CleanCommand("--delta=" + delta_path +
+                                 " --prev-provenance=" + path +
+                                 " --explain-json=" + TempPath("exit_bad_out.jsonl")));
+  };
+  EXPECT_EQ(run("exit_bad_prev_ok.jsonl", ProofLine(1, 0) + ProofLine(2, 0)), 0);
+  EXPECT_EQ(run("exit_bad_prev_malformed.jsonl", good + "{\"row\": 3,\n"), 1);
+  EXPECT_EQ(run("exit_bad_prev_backwards.jsonl", ProofLine(2, 0) + ProofLine(1, 0)),
+            1);
+  EXPECT_EQ(run("exit_bad_prev_column.jsonl", ProofLine(1, 0) + ProofLine(1, 99)),
+            1);
+  // A failed splice leaves no partial output behind.
+  EXPECT_FALSE(std::ifstream(TempPath("exit_bad_out.jsonl.tmp")).good());
+}
+
+/// Rewrites each ToJson() line with "column_index" first, extra spaces and
+/// a trailing carriage return: a log FromJsonLines accepts but whose lines
+/// are not in ToJson() form.
+std::string ReorderFields(const std::string& log) {
+  std::string out;
+  size_t start = 0;
+  while (start < log.size()) {
+    size_t end = log.find('\n', start);
+    std::string line = log.substr(start, end - start);
+    start = end + 1;
+    const size_t row_end = line.find(", \"column_index\": ");
+    const size_t index_end = line.find(", \"column\": ");
+    if (row_end == std::string::npos || index_end == std::string::npos) {
+      ADD_FAILURE() << "not a ToJson line: " << line;
+      return log;
+    }
+    out += "{ " + line.substr(row_end + 2, index_end - row_end - 2) + " ,  " +
+           line.substr(1, row_end - 1) + line.substr(index_end) + "\r\n";
+  }
+  return out;
+}
+
+TEST(IncrementalCli, ReorderedFieldLogGivesTheSameOutput) {
+  // Lines not in ToJson() form are re-serialized instead of copied, so the
+  // spliced log is the same as from the log detective_clean wrote.
+  const std::string prev_path = TempPath("reorder_prev.jsonl");
+  ASSERT_EQ(ExitCode(CleanCommand("--explain-json=" + prev_path)), 0);
+  const std::string prev = ReadFile(prev_path);
+  const std::string reordered_path = TempPath("reorder_prev_reordered.jsonl");
+  WriteFile(reordered_path, ReorderFields(prev));
+  ASSERT_NE(ReadFile(reordered_path), prev);
+
+  const std::string delta_path = TempPath("reorder_delta.csv");
+  WriteFile(delta_path,
+            "row,Name,DOB,Country,Prize,Institution,City\n"
+            "1,Marie Curie,1867-11-07,France,Nobel Prize in Chemistry,"
+            "Pasteur Institute,Paris\n");
+  std::string outputs[2][2];
+  const std::string logs[2] = {prev_path, reordered_path};
+  for (int i = 0; i < 2; ++i) {
+    const std::string csv = TempPath("reorder_out_" + std::to_string(i) + ".csv");
+    const std::string jsonl =
+        TempPath("reorder_out_" + std::to_string(i) + ".jsonl");
+    ASSERT_EQ(ExitCode(std::string(kCleanBin) + " --kb=" + kDataDir +
+                       "/figure1.nt --rules=" + kDataDir +
+                       "/figure4.dr --input=" + kDataDir + "/table1.csv" +
+                       " --output=" + csv + " --delta=" + delta_path +
+                       " --prev-provenance=" + logs[i] +
+                       " --explain-json=" + jsonl),
+              0);
+    outputs[i][0] = ReadFile(csv);
+    outputs[i][1] = ReadFile(jsonl);
+  }
+  EXPECT_FALSE(outputs[0][1].empty());
+  EXPECT_EQ(outputs[0][0], outputs[1][0]);
+  EXPECT_EQ(outputs[0][1], outputs[1][1]);
 }
 
 TEST(ExplainExitCodes, Contract) {

@@ -1,10 +1,15 @@
 // Tests for core/incremental.h: the byte-identity contract (incremental
 // re-clean of a delta == full re-clean of the delta-applied relation, for
 // CSV, provenance, and quarantine, at every thread count, with and without
-// an armed fault plan), plus delta parsing and the documented rejections.
+// an armed fault plan, including deltas that move cells to values other
+// rows hold), the streamed splice over a log file, plus delta parsing and
+// the documented rejections.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,6 +67,34 @@ RelationDelta MakeDelta(const Relation& relation) {
       change.values.push_back(std::string(relation.value(row, c)));
     }
     change.values[0] = "Delta Person " + std::to_string(row);
+    delta.changes.push_back(std::move(change));
+    ++delta.num_updates;
+  }
+  return delta;
+}
+
+/// Every 40th row moves City, State and Zip to the values three other rows
+/// hold, so every changed value is shared with rows the delta leaves alone.
+/// Per-tuple independence (§V) says those rows still replay unchanged.
+RelationDelta MakeSharedValueDelta(const Relation& relation) {
+  RelationDelta delta;
+  const Schema& schema = relation.schema();
+  const size_t rows = relation.num_tuples();
+  const struct {
+    const char* column;
+    size_t offset;
+  } moves[] = {{"City", 7}, {"State", 13}, {"Zip", 29}};
+  for (size_t row = 3; row < rows; row += 40) {
+    DeltaChange change;
+    change.row = row;
+    for (ColumnIndex c = 0; c < schema.num_columns(); ++c) {
+      change.values.push_back(std::string(relation.value(row, c)));
+    }
+    for (const auto& move : moves) {
+      const ColumnIndex c = schema.FindColumn(move.column);
+      EXPECT_NE(c, kInvalidColumn) << move.column;
+      change.values[c] = std::string(relation.value((row + move.offset) % rows, c));
+    }
     delta.changes.push_back(std::move(change));
     ++delta.num_updates;
   }
@@ -189,6 +222,106 @@ TEST(IncrementalByteIdentityTest, InsertsAreChasedAsNewRows) {
   RunLogs inc = Incremental(world, world.dirty, delta, first, 1, false);
   EXPECT_EQ(inc.relation.num_tuples(), world.dirty.num_tuples() + 1);
   ExpectByteIdentity(full, inc);
+}
+
+TEST(IncrementalByteIdentityTest, SharedValueDeltasMatchFullReclean) {
+  constexpr std::string_view kPlan = "seed=11; site=repair.tuple, p=0.1";
+  World world;
+  RelationDelta delta = MakeSharedValueDelta(world.dirty);
+  Relation delta_applied = ApplyDelta(world.dirty, delta);
+  for (const bool guarded : {false, true}) {
+    RunLogs first(world.dirty);
+    {
+      std::optional<ArmedPlan> armed;
+      if (guarded) armed.emplace(kPlan);
+      first = FullClean(world, world.dirty, 1, guarded);
+    }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE(::testing::Message() << "guarded=" << guarded
+                                      << " threads=" << threads);
+      std::optional<ArmedPlan> armed;
+      if (guarded) armed.emplace(kPlan);
+      RunLogs full = FullClean(world, delta_applied, threads, guarded);
+      RunLogs inc =
+          Incremental(world, world.dirty, delta, first, threads, guarded);
+      ExpectByteIdentity(full, inc);
+      EXPECT_NE(full.provenance.ToJsonLines(), first.provenance.ToJsonLines())
+          << "the delta changed no provenance";
+    }
+  }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(IncrementalStreamTest, StreamedSpliceMatchesFullReclean) {
+  World world;
+  RunLogs first = FullClean(world, world.dirty, 1, false);
+  const std::string prev_path = ::testing::TempDir() + "/inc_stream_prev.jsonl";
+  const std::string out_path = ::testing::TempDir() + "/inc_stream_out.jsonl";
+  ASSERT_TRUE(first.provenance.WriteJsonLines(prev_path).ok());
+  RelationDelta delta = MakeSharedValueDelta(world.dirty);
+  RunLogs full = FullClean(world, ApplyDelta(world.dirty, delta), 2, false);
+
+  Relation relation = world.dirty;
+  auto plan = PlanIncremental(delta, &relation, ProvenanceLog(), nullptr);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->affected_rows.size(), delta.changes.size());
+  ProvenanceFileReader reader;
+  ASSERT_TRUE(reader.Open(prev_path).ok());
+  ProvenanceWriter writer;
+  ASSERT_TRUE(writer.Open(out_path).ok());
+  IncrementalOptions options;
+  options.num_threads = 2;
+  auto stats = IncrementalRepair(world.kb, world.dataset.rules, &relation,
+                                 *plan, &reader, nullptr, options, &writer);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(writer.Close().ok());
+  EXPECT_EQ(reader.records(), first.provenance.size());
+  EXPECT_EQ(full.relation.ToCsv(), relation.ToCsv());
+  EXPECT_EQ(full.provenance.ToJsonLines(), ReadFile(out_path));
+  EXPECT_EQ(writer.lines(), full.provenance.size());
+}
+
+TEST(IncrementalStreamTest, RowsGoingBackwardsAreRejected) {
+  World world;
+  RunLogs first = FullClean(world, world.dirty, 1, false);
+  std::vector<RepairProvenance> records = first.provenance.records();
+  ASSERT_GT(records.size(), 2u);
+  ASSERT_LT(records.front().row, records.back().row);
+  std::swap(records.front(), records.back());
+  ProvenanceLog unsorted;
+  for (RepairProvenance& record : records) unsorted.Add(std::move(record));
+
+  // In memory: the record is named by its position.
+  Relation relation = world.dirty;
+  auto plan = PlanIncremental(RelationDelta{}, &relation, ProvenanceLog(),
+                              nullptr);
+  ASSERT_TRUE(plan.ok());
+  auto stats = IncrementalRepair(world.kb, world.dataset.rules, &relation,
+                                 *plan, unsorted, nullptr, IncrementalOptions{});
+  ASSERT_FALSE(stats.ok());
+  EXPECT_NE(stats.status().message().find("previous provenance record 2"),
+            std::string::npos)
+      << stats.status().ToString();
+
+  // Streamed: the line is named, and the reader keeps the failure.
+  const std::string path = ::testing::TempDir() + "/inc_backwards.jsonl";
+  ASSERT_TRUE(unsorted.WriteJsonLines(path).ok());
+  Relation streamed = world.dirty;
+  ProvenanceFileReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  auto streamed_stats =
+      IncrementalRepair(world.kb, world.dataset.rules, &streamed, *plan,
+                        &reader, nullptr, IncrementalOptions{}, nullptr);
+  ASSERT_FALSE(streamed_stats.ok());
+  EXPECT_FALSE(reader.status().ok());
+  EXPECT_NE(reader.status().message().find("provenance JSONL line 2: row"),
+            std::string::npos)
+      << reader.status().ToString();
 }
 
 // ---- Plan construction -------------------------------------------------------

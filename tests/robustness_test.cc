@@ -188,6 +188,125 @@ TEST_P(ParserRobustness, ProvenanceJsonLinesNeverCrash) {
   }
 }
 
+/// Checks ProvenanceLineScanner against RepairProvenance::FromJson on one
+/// line: same acceptance, same error, same replay fields, and a verbatim
+/// line must be exactly what ToJson() writes for its record. Returns
+/// whether the scanner took the verbatim path.
+bool ExpectScannerAgreesWithFromJson(const std::string& line) {
+  ProvenanceLineScanner scanner;
+  auto view = scanner.Scan(line);
+  auto record = RepairProvenance::FromJson(line);
+  EXPECT_EQ(view.ok(), record.ok()) << line;
+  if (!view.ok() || !record.ok()) {
+    if (!view.ok() && !record.ok()) {
+      EXPECT_EQ(view.status().message(), record.status().message()) << line;
+    }
+    return false;
+  }
+  const ProvenanceLineView& v = **view;
+  EXPECT_EQ(v.row, record->row) << line;
+  EXPECT_EQ(v.column_index, record->column_index) << line;
+  EXPECT_EQ(v.kind, record->kind) << line;
+  EXPECT_EQ(v.new_value, record->new_value) << line;
+  EXPECT_EQ(std::vector<std::string>(v.marked_columns.begin(),
+                                     v.marked_columns.end()),
+            record->marked_columns)
+      << line;
+  if (v.verbatim) {
+    EXPECT_EQ(line, record->ToJson());
+  }
+  return v.verbatim;
+}
+
+TEST_P(ParserRobustness, ProvenanceLineScannerMatchesFromJson) {
+  // Real lines from the paper's worked example, plus one whose strings hold
+  // every escape AppendJsonString emits, raw non-ASCII bytes and a kb_item
+  // at the integer limit.
+  KnowledgeBase kb = testing::BuildFigure1Kb();
+  Relation table = testing::BuildTableI();
+  ProvenanceLog log;
+  FastRepairer repairer(kb, table.schema(), testing::BuildFigure4Rules());
+  ASSERT_TRUE(repairer.Init().ok());
+  repairer.engine().set_provenance(&log);
+  repairer.RepairRelation(&table);
+  RepairProvenance escaped;
+  escaped.row = 7;
+  escaped.column_index = 4294967295u;
+  escaped.column = "Ci\"ty";
+  escaped.kind = ProvenanceKind::kNormalization;
+  escaped.old_value = std::string("a\\b\n\x01\x1f\x7f", 8) + "\xc3\xa9";
+  escaped.new_value = "q\"\\\t";
+  escaped.bindings.push_back({"Name", "person", "x\ny", "X \"Y\"", UINT64_MAX});
+  escaped.evidence_edges.push_back({"s\\", "r", "o\x02"});
+  escaped.marked_columns = {"Ci\"ty", "Name"};
+  log.Add(escaped);
+
+  std::vector<std::string> lines;
+  for (const RepairProvenance& record : log.records()) {
+    lines.push_back(record.ToJson());
+    EXPECT_TRUE(ExpectScannerAgreesWithFromJson(lines.back()))
+        << "a ToJson() line must take the verbatim path: " << lines.back();
+  }
+
+  // Hand-made edits at the edges of the ToJson() form: each line either
+  // fails both parsers or is accepted without the verbatim path.
+  const std::string base = escaped.ToJson();
+  const std::pair<std::string, std::string> edits[] = {
+      {"{\"row\": 7", "{\"row\": 07"},
+      {"4294967295", "4294967296"},
+      {"4294967295", "18446744073709551616"},
+      {"\\u000a", "\\u000A"},
+      {"\\u0009", "\\t"},
+      {"\"normalization\"", "\"normaliz\\u0061tion\""},
+      {", \"rule\": ", ",\"rule\": "},
+      {", \"rule\": ", ", \"rule\" : "},
+      {"\"marked_columns\": [", "\"marked_columns\": [], \"marked_columns\": ["},
+      {"{\"row\": 7, \"column_index\": 4294967295",
+       "{\"column_index\": 4294967295, \"row\": 7"},
+      {"]}", "], \"extra\": 1}"},
+      {"]}", "]} "},
+      {"]}", "]}\r"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string line = base;
+    const size_t at = line.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    line.replace(at, from.size(), to);
+    EXPECT_FALSE(ExpectScannerAgreesWithFromJson(line)) << line;
+  }
+
+  // Byte mutations biased toward the grammar's structural characters.
+  static constexpr char kAlphabet[] = "\"\\u0{}[],: \t\r01afx";
+  Rng rng(GetParam() + 1100);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string line = lines[rng.NextIndex(lines.size())];
+    const size_t mutations = 1 + rng.NextIndex(3);
+    for (size_t i = 0; i < mutations && !line.empty(); ++i) {
+      const size_t pos = rng.NextIndex(line.size());
+      const char c = rng.NextUint64(4) == 0
+                         ? static_cast<char>(rng.NextUint64(256))
+                         : kAlphabet[rng.NextIndex(sizeof(kAlphabet) - 1)];
+      switch (rng.NextUint64(3)) {
+        case 0:
+          line[pos] = c;
+          break;
+        case 1:
+          line.erase(pos, 1);
+          break;
+        default:
+          line.insert(pos, 1, c);
+          break;
+      }
+    }
+    ExpectScannerAgreesWithFromJson(line);
+    if (RepairProvenance::FromJson(line).ok()) ++accepted;
+  }
+  // The mutations must reach accepted-but-changed lines too, not only
+  // rejections.
+  EXPECT_GT(accepted, 0u);
+}
+
 TEST_P(ParserRobustness, FaultPlanParseNeverCrashes) {
   Rng rng(GetParam() + 900);
   std::string valid =

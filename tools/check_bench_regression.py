@@ -47,6 +47,11 @@ legitimately noisy — so they get a documented generous tolerance instead
 of the exact-match counter default. User --band entries are matched first,
 so a caller can still tighten, loosen, or skip them.
 
+Latency and throughput bands are one-sided (ONE_SIDED below): a latency
+percentile fails only when it rises past baseline*(1+TOL), a throughput
+only when it falls below baseline/(1+TOL). A faster run is not a
+regression. Every other band is symmetric, counters included.
+
 --update refreshes the baselines instead of comparing: each fresh file is
 copied over its baseline counterpart (pair mode: FRESH over BASELINE).
 Run the benches on a quiet machine, eyeball the diff, and commit.
@@ -79,6 +84,15 @@ DEFAULT_BANDS = [
     ("*rss_bytes", 0.10),
 ]
 
+# Metric shapes with a better direction: the band only bounds the worse
+# side. Looked up by metric id, whichever band (user or default) matched.
+ONE_SIDED = [
+    ("*p50_us", "lower"),
+    ("*p95_us", "lower"),
+    ("*p99_us", "lower"),
+    ("*_rps", "higher"),
+]
+
 
 def load(path):
     with open(path, "r", encoding="utf-8") as handle:
@@ -94,14 +108,29 @@ def load(path):
     return doc.get("bench", "?"), entries
 
 
-def within(fresh, baseline, tolerance):
-    """True when fresh is inside [baseline/(1+t), baseline*(1+t)]."""
+def within(fresh, baseline, tolerance, better=None):
+    """True when fresh is inside [baseline/(1+t), baseline*(1+t)].
+
+    better="lower" drops the lower bound and better="higher" the upper one.
+    """
     if tolerance == float("inf"):
         return True
     if baseline == 0:
+        if better == "higher":
+            return True
         return fresh == 0 if tolerance == 0 else fresh <= tolerance
     ratio = fresh / baseline
-    return 1 / (1 + tolerance) <= ratio <= 1 + tolerance
+    low_ok = better == "lower" or 1 / (1 + tolerance) <= ratio
+    high_ok = better == "higher" or ratio <= 1 + tolerance
+    return low_ok and high_ok
+
+
+def direction_for(metric_id):
+    """"lower"/"higher" for a one-sided metric shape, else None."""
+    for pattern, better in ONE_SIDED:
+        if fnmatch.fnmatchcase(metric_id, pattern):
+            return better
+    return None
 
 
 def parse_band(spec):
@@ -179,7 +208,7 @@ def compare(fresh_path, baseline_path, args):
                 continue
             fc, bc = f["counters"][counter], b["counters"][counter]
             compared += 1
-            if not within(fc, bc, counter_tolerance):
+            if not within(fc, bc, counter_tolerance, direction_for(counter)):
                 failures.append(f"{label}: counter {counter} {bc} -> {fc}")
 
     print(

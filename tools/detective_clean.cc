@@ -31,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -471,7 +472,10 @@ int Run(const Args& args) {
   const KnowledgeBase& kb = pipeline.kb();
   const std::vector<DetectiveRule>& rules = pipeline.rules();
 
-  auto relation = Relation::FromCsvFile(args.input_path);
+  auto relation = [&] {
+    DETECTIVE_TRACE_SPAN("clean.load_relation");
+    return Relation::FromCsvFile(args.input_path);
+  }();
   if (!relation.ok()) {
     logs::Error("clean", "relation_load_failed",
                 "error loading relation: " + relation.status().ToString(),
@@ -481,11 +485,12 @@ int Run(const Args& args) {
   std::printf("Relation: %zu tuples x %zu columns\n", relation->num_tuples(),
               relation->schema().num_columns());
 
-  // ---- Incremental (delta) cleaning: apply the delta and plan the closure
-  // before anything downstream (consistency, repair, report) sees the
-  // relation, so every stage operates on the delta-applied rows.
+  // ---- Incremental (delta) cleaning: apply the delta and plan the affected
+  // rows before anything downstream (consistency, repair, report) sees the
+  // relation, so every stage operates on the delta-applied rows. The
+  // previous provenance log is only opened here; the repair streams it.
   const bool incremental = !args.delta_path.empty();
-  ProvenanceLog prev_provenance;
+  ProvenanceFileReader prev_provenance;
   QuarantineLog prev_quarantine;
   const QuarantineLog* prev_quarantine_ptr = nullptr;
   std::optional<IncrementalPlan> inc_plan;
@@ -498,41 +503,25 @@ int Run(const Args& args) {
                   {{"path", args.delta_path}});
       return kExitRuntimeFailure;
     }
-    auto read_jsonl = [](const std::string& path,
-                         std::string* out) -> Status {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) return Status::IOError("cannot open '", path, "'");
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      *out = buffer.str();
-      return Status::OK();
-    };
-    std::string prev_text;
-    if (Status read_st = read_jsonl(args.prev_provenance_path, &prev_text);
-        !read_st.ok()) {
-      logs::Error("clean", "prev_provenance_load_failed", read_st.ToString(),
+    if (Status open_st = prev_provenance.Open(args.prev_provenance_path);
+        !open_st.ok()) {
+      logs::Error("clean", "prev_provenance_load_failed", open_st.ToString(),
                   {{"path", args.prev_provenance_path}});
       return kExitRuntimeFailure;
     }
-    auto prev_log = ProvenanceLog::FromJsonLines(prev_text);
-    if (!prev_log.ok()) {
-      logs::Error("clean", "prev_provenance_load_failed",
-                  "error parsing previous provenance: " +
-                      prev_log.status().ToString(),
-                  {{"path", args.prev_provenance_path}});
-      return kExitRuntimeFailure;
-    }
-    prev_provenance = std::move(*prev_log);
     if (!args.prev_quarantine_path.empty()) {
-      std::string quarantine_text;
-      if (Status read_st =
-              read_jsonl(args.prev_quarantine_path, &quarantine_text);
-          !read_st.ok()) {
-        logs::Error("clean", "prev_quarantine_load_failed", read_st.ToString(),
+      std::ifstream in(args.prev_quarantine_path, std::ios::binary);
+      if (!in) {
+        logs::Error("clean", "prev_quarantine_load_failed",
+                    Status::IOError("cannot open '", args.prev_quarantine_path,
+                                    "'")
+                        .ToString(),
                     {{"path", args.prev_quarantine_path}});
         return kExitRuntimeFailure;
       }
-      auto prev_ledger = QuarantineLog::FromJsonLines(quarantine_text);
+      std::ostringstream buffer;
+      buffer << in.rdbuf();
+      auto prev_ledger = QuarantineLog::FromJsonLines(buffer.str());
       if (!prev_ledger.ok()) {
         logs::Error("clean", "prev_quarantine_load_failed",
                     "error parsing previous quarantine: " +
@@ -543,7 +532,7 @@ int Run(const Args& args) {
       prev_quarantine = std::move(*prev_ledger);
       prev_quarantine_ptr = &prev_quarantine;
     }
-    auto plan = PlanIncremental(*delta, &*relation, prev_provenance,
+    auto plan = PlanIncremental(*delta, &*relation, ProvenanceLog(),
                                 prev_quarantine_ptr);
     if (!plan.ok()) {
       logs::Error("clean", "incremental_plan_failed",
@@ -553,9 +542,9 @@ int Run(const Args& args) {
     inc_plan = std::move(*plan);
     std::printf(
         "Delta: %zu update(s), %zu insert(s) -> %zu of %zu rows affected "
-        "(%zu delta, %zu closure, %zu prev-quarantined)\n",
+        "(%zu delta, %zu prev-quarantined)\n",
         delta->num_updates, delta->num_inserts, inc_plan->affected_rows.size(),
-        relation->num_tuples(), inc_plan->delta_rows, inc_plan->closure_rows,
+        relation->num_tuples(), inc_plan->delta_rows,
         inc_plan->quarantined_rows);
   }
   progress.SetRowsTotal(relation->num_tuples());
@@ -593,6 +582,17 @@ int Run(const Args& args) {
   ProvenanceLog provenance;
   ProvenanceLog* provenance_sink =
       args.explain_json_path.empty() ? nullptr : &provenance;
+  // --explain-json output. A delta run splices into a temporary file next to
+  // it, renamed over it once written: the previous log it streams from may
+  // be the same file.
+  ProvenanceWriter provenance_out;
+  const std::string spliced_path = args.explain_json_path + ".tmp";
+  struct RemoveOnExit {
+    std::string path;
+    ~RemoveOnExit() {
+      if (!path.empty()) std::remove(path.c_str());
+    }
+  } spliced_cleanup;
   QuarantineLog quarantine;
   const RepairOptions& repair_options = pipeline.repair_options();
   const bool guarded = GuardedRepairRequested(repair_options) ||
@@ -638,12 +638,28 @@ int Run(const Args& args) {
       IncrementalOptions inc_options;
       inc_options.repair = repair_options;
       inc_options.num_threads = args.threads;
-      inc_options.provenance = provenance_sink;
       inc_options.quarantine = guarded ? &quarantine : nullptr;
       inc_options.plan = pipeline.plan();
+      ProvenanceWriter* spliced = nullptr;
+      if (!args.explain_json_path.empty()) {
+        spliced_cleanup.path = spliced_path;
+        if (Status open_st = provenance_out.Open(spliced_path); !open_st.ok()) {
+          logs::Error("clean", "explain_write_failed", open_st.ToString(),
+                      {{"path", args.explain_json_path}});
+          return kExitRuntimeFailure;
+        }
+        spliced = &provenance_out;
+      }
       auto result = IncrementalRepair(kb, rules, &repaired, *inc_plan,
-                                      std::move(prev_provenance),
-                                      prev_quarantine_ptr, inc_options);
+                                      &prev_provenance, prev_quarantine_ptr,
+                                      inc_options, spliced);
+      if (!prev_provenance.status().ok()) {
+        logs::Error("clean", "prev_provenance_load_failed",
+                    "error parsing previous provenance: " +
+                        prev_provenance.status().ToString(),
+                    {{"path", args.prev_provenance_path}});
+        return kExitRuntimeFailure;
+      }
       if (!result.ok()) {
         logs::Error("clean", "incremental_failed",
                     "incremental repair failed: " + result.status().ToString());
@@ -750,14 +766,36 @@ int Run(const Args& args) {
   }
 
   if (!args.explain_json_path.empty()) {
-    Status explain_status = provenance.WriteJsonLines(args.explain_json_path);
+    Status explain_status;
+    {
+      DETECTIVE_TRACE_NAMED_SPAN(span, "clean.write_provenance");
+      if (!incremental) {
+        explain_status = provenance_out.Open(args.explain_json_path);
+        if (explain_status.ok()) {
+          for (const RepairProvenance& record : provenance.records()) {
+            provenance_out.Append(record);
+          }
+        }
+      }
+      if (explain_status.ok()) explain_status = provenance_out.Close();
+      if (explain_status.ok() && incremental) {
+        if (std::rename(spliced_path.c_str(),
+                        args.explain_json_path.c_str()) != 0) {
+          explain_status = Status::IOError("error writing provenance JSONL to ",
+                                           args.explain_json_path);
+        }
+        spliced_cleanup.path.clear();
+      }
+      span.SetArgs({"bytes", static_cast<int64_t>(provenance_out.bytes())},
+                   {"lines", static_cast<int64_t>(provenance_out.lines())});
+    }
     if (!explain_status.ok()) {
       logs::Error("clean", "explain_write_failed", explain_status.ToString(),
                   {{"path", args.explain_json_path}});
       return kExitRuntimeFailure;
     }
     std::printf("provenance written to %s (%zu records)\n",
-                args.explain_json_path.c_str(), provenance.size());
+                args.explain_json_path.c_str(), provenance_out.lines());
   }
 
   if (!args.trace_json_path.empty()) {

@@ -111,6 +111,16 @@ class WithinTest(unittest.TestCase):
         self.assertTrue(cbr.within(200.0, 100.0, 1.0))
         self.assertTrue(cbr.within(50.0, 100.0, 1.0))
 
+    def test_one_sided_band_bounds_only_the_worse_side(self):
+        self.assertTrue(cbr.within(10.0, 100.0, 0.25, "lower"))
+        self.assertFalse(cbr.within(126.0, 100.0, 0.25, "lower"))
+        self.assertTrue(cbr.within(1000.0, 100.0, 0.25, "higher"))
+        self.assertFalse(cbr.within(79.0, 100.0, 0.25, "higher"))
+        self.assertEqual(cbr.direction_for("latency.p99_us"), "lower")
+        self.assertEqual(cbr.direction_for("capacity_rps"), "higher")
+        self.assertIsNone(cbr.direction_for("requests.shed_pct"))
+        self.assertIsNone(cbr.direction_for("peak_rss_bytes"))
+
     def test_inf_accepts_anything(self):
         self.assertTrue(cbr.within(1e9, 0.0, float("inf")))
 
@@ -202,6 +212,37 @@ class CompareTest(unittest.TestCase):
         failures = cbr.compare(regressed, base, CompareArgs())
         self.assertEqual(len(failures), 1)
         self.assertIn("latency.p99_us", failures[0])
+
+    def test_faster_latency_and_higher_throughput_pass(self):
+        # bench_serve's clean-tuple@8 p95 once fell from 784 to 140 us, far
+        # outside the 3.0 band on the good side: that is not a regression.
+        counters = {"latency.p50_us": 221, "latency.p95_us": 784,
+                    "latency.p99_us": 900, "capacity_rps": 10000}
+        base = self.write("base.json", bench_doc(entries=[entry("s", 1, 10.0, counters)]))
+        faster = self.write("fresh.json", bench_doc(entries=[entry("s", 1, 10.0, {
+            "latency.p50_us": 57, "latency.p95_us": 140,
+            "latency.p99_us": 100, "capacity_rps": 90000})]))
+        self.assertEqual(cbr.compare(faster, base, CompareArgs()), [])
+
+    def test_slower_latency_and_lower_throughput_still_fail(self):
+        base = self.write("base.json", bench_doc(entries=[entry("s", 1, 10.0, {
+            "latency.p50_us": 100, "capacity_rps": 10000})]))
+        slower = self.write("fresh.json", bench_doc(entries=[entry("s", 1, 10.0, {
+            "latency.p50_us": 301, "capacity_rps": 4999})]))
+        failures = cbr.compare(slower, base, CompareArgs())
+        self.assertEqual(len(failures), 2)
+        self.assertIn("capacity_rps", failures[0])
+        self.assertIn("latency.p50_us", failures[1])
+
+    def test_counters_and_other_bands_stay_symmetric(self):
+        base = self.write("base.json", bench_doc(entries=[entry("s", 1, 10.0, {
+            "repair.rule_checks": 100, "peak_rss_bytes": 1000,
+            "requests.shed_pct": 10})]))
+        lower = self.write("fresh.json", bench_doc(entries=[entry("s", 1, 10.0, {
+            "repair.rule_checks": 99, "peak_rss_bytes": 800,
+            "requests.shed_pct": 4})]))
+        failures = cbr.compare(lower, base, CompareArgs())
+        self.assertEqual(len(failures), 3)
 
     def test_bench_name_mismatch_is_a_failure(self):
         fresh = self.write("fresh.json", bench_doc(bench="a"))
