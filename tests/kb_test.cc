@@ -4,9 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
+#include "common/hash.h"
+#include "datagen/nobel_gen.h"
+#include "datagen/uis_gen.h"
+#include "datagen/webtables_gen.h"
 #include "kb/knowledge_base.h"
 #include "kb/ntriples_parser.h"
+#include "kb/snapshot.h"
 #include "test_fixtures.h"
 
 namespace detective {
@@ -321,6 +331,117 @@ TEST(TsvTest, RoundTripThroughToTsvTriples) {
   RelationId works = reparsed->FindRelation("worksAt");
   ASSERT_TRUE(works.valid());
   EXPECT_EQ(reparsed->Objects(calvin, works).size(), 2u);  // Example 10 intact
+}
+
+// ---- Pinned KBs -------------------------------------------------------------
+//
+// The frozen KB a text file loads to is pinned by a digest of its `.dkb`
+// image: item, relation and class numbering, labels, adjacency and the label
+// index all feed the snapshot bytes, so any change to the loader's output
+// shows up here.
+
+std::string Hex(uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "0x%016" PRIx64, value);
+  return buffer;
+}
+
+std::string DkbDigest(const KnowledgeBase& kb, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/kb_pin_" + name + ".dkb";
+  EXPECT_TRUE(WriteKbSnapshot(kb, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return Hex(Fnv1a(bytes));
+}
+
+// Loads `kb` back from its N-Triples and TSV forms, checks that both agree,
+// and returns the digests of {builder KB, text-loaded KB}.
+std::pair<std::string, std::string> PinGenerated(const KnowledgeBase& kb,
+                                                 const std::string& name) {
+  auto nt = ParseNTriples(ToNTriples(kb));
+  auto tsv = ParseTsvTriples(ToTsvTriples(kb));
+  EXPECT_TRUE(nt.ok()) << nt.status().ToString();
+  EXPECT_TRUE(tsv.ok()) << tsv.status().ToString();
+  if (!nt.ok() || !tsv.ok()) return {};
+  std::string diff;
+  EXPECT_TRUE(KbEquals(*nt, *tsv, &diff)) << name << ": " << diff;
+  return {DkbDigest(kb, name + "_built"), DkbDigest(*nt, name + "_text")};
+}
+
+TEST(PinnedKbTest, GeneratedUisKb) {
+  UisOptions options;
+  options.num_tuples = 2000;
+  Dataset dataset = GenerateUis(options);
+  auto [built, text] = PinGenerated(
+      dataset.world.ToKb(YagoProfile(), dataset.key_entities), "uis");
+  EXPECT_EQ(built, "0xc5818e490d5d8117");
+  EXPECT_EQ(text, "0xece81b7df6c25414");
+}
+
+TEST(PinnedKbTest, GeneratedNobelKb) {
+  NobelOptions options;
+  options.num_laureates = 2000;
+  Dataset dataset = GenerateNobel(options);
+  auto [built, text] = PinGenerated(
+      dataset.world.ToKb(YagoProfile(), dataset.key_entities), "nobel");
+  EXPECT_EQ(built, "0x06fb3fe79adaeb63");
+  EXPECT_EQ(text, "0x93aac220225ee4b8");
+}
+
+TEST(PinnedKbTest, GeneratedWebTablesKb) {
+  WebTablesCorpus corpus = GenerateWebTables();
+  auto [built, text] = PinGenerated(
+      corpus.world.ToKb(DBpediaProfile(), corpus.key_entities), "webtables");
+  EXPECT_EQ(built, "0x376be47f9a8dfad4");
+  EXPECT_EQ(text, "0x6993a2dbe7918165");
+}
+
+// Every lexical corner the N-Triples reader accepts, in one file.
+constexpr char kCornerCaseNTriples[] =
+    "# leading comment\r\n"
+    "\r\n"
+    "<http://x.org/Avram_Hershko>\t<worksAt>\t<http://x.org/Technion> .\r\n"
+    "<http://x.org/Avram_Hershko> <rdf:type> <http://x.org/laureate> .\n"
+    "   \n"
+    "<http://x.org/Technion> a <organization> .\n"
+    "<http://x.org/Technion> rdfs:label \"Israel   Institute of Technology\" .\n"
+    "<http://x.org/Avram_Hershko> <says> \"a \\\"quoted\\\" \\\\ word\" .\n"
+    "<http://x.org/Avram_Hershko> <bornOnDate> \"1937-12-31\"^^<xsd:date> .\n"
+    "<http://x.org/Avram_Hershko> <name> \"Avram\"@he .\n"
+    "<http://x.org/Avram_Hershko> <name> \"Avram\" .\n"
+    "\t# indented comment\n"
+    "<laureate> rdfs:subClassOf <person> .\n"
+    "<organization> <foundedBy> <Technion_Society> .\n"
+    "<organization> rdf:type <rdfs:Class> .\n"
+    "<http://x.org/Technion> <locatedIn> <Haifa> .\n"
+    "<city> a <geo_concept> .\n"
+    "<Haifa> <type> <city> .\n"
+    "<Haifa> <name> \"Haifa\" .";
+
+TEST(PinnedKbTest, CornerCaseFixture) {
+  auto kb = ParseNTriples(kCornerCaseNTriples);
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  // The label defined after the entity's first use still wins.
+  ASSERT_EQ(kb->ItemsWithLabel("Israel Institute of Technology").size(), 1u);
+  EXPECT_TRUE(kb->ItemsWithLabel("Technion").empty());
+  ItemId hershko = kb->ItemsWithLabel("Avram Hershko")[0];
+  EXPECT_TRUE(kb->IsInstanceOf(hershko, kb->FindClass("person")));
+  EXPECT_EQ(kb->Label(kb->Objects(hershko, kb->FindRelation("says"))[0].target),
+            "a \"quoted\" \\ word");
+  EXPECT_EQ(kb->Label(kb->Objects(hershko, kb->FindRelation("bornOnDate"))[0].target),
+            "1937-12-31");
+  // "Avram"@he and "Avram" are one literal.
+  EXPECT_EQ(kb->Objects(hershko, kb->FindRelation("name")).size(), 1u);
+  // A subject declared a class later in the file is a class, and its
+  // `a`-typed uses before the declaration do not make it an entity; its
+  // relationship triples still do.
+  EXPECT_TRUE(kb->FindClass("organization").valid());
+  EXPECT_TRUE(kb->FindClass("city").valid());
+  EXPECT_EQ(kb->ItemsWithLabel("organization").size(), 1u);
+  EXPECT_TRUE(kb->ItemsWithLabel("city").empty());
+  EXPECT_EQ(DkbDigest(*kb, "corners"), "0xba784d287890e49d");
 }
 
 TEST(KbDebugTest, SummaryMentionsCounts) {
