@@ -173,9 +173,12 @@ ClassId KbBuilder::AddClass(std::string_view name,
 }
 
 void KbBuilder::AddSubclass(std::string_view sub, std::string_view super) {
-  ClassId sub_id = AddClass(sub);
-  ClassId super_id = AddClass(super);
-  kb_.classes_[sub_id.value()].parents.push_back(super_id);
+  const ClassId sub_id = AddClass(sub);  // before `super`: ids in call order
+  AddSubclass(sub_id, AddClass(super));
+}
+
+void KbBuilder::AddSubclass(ClassId sub, ClassId super) {
+  kb_.classes_[sub.value()].parents.push_back(super);
 }
 
 RelationId KbBuilder::AddRelation(std::string_view name) {
@@ -192,21 +195,17 @@ RelationId KbBuilder::AddRelation(std::string_view name) {
 ItemId KbBuilder::AddEntity(std::string_view label,
                             const std::vector<ClassId>& classes) {
   ItemId id(static_cast<uint32_t>(num_items()));
-  std::string normalized = NormalizeWhitespace(label);
-  items_by_label_[normalized].push_back(id);
-  kb_.label_blob_ += normalized;
+  kb_.label_blob_ += NormalizeWhitespace(label);
   kb_.label_offsets_.push_back(kb_.label_blob_.size());
   kb_.literal_flags_.push_back(0);
-  item_classes_.push_back(classes);
-  out_edges_.emplace_back();
-  in_edges_.emplace_back();
+  for (ClassId cls : classes) item_classes_.push_back({id, cls});
   ++kb_.num_entities_;
   return id;
 }
 
 void KbBuilder::AddClassToEntity(ItemId entity, ClassId cls) {
   DETECTIVE_CHECK(kb_.literal_flags_[entity.value()] == 0);
-  item_classes_[entity.value()].push_back(cls);
+  item_classes_.push_back({entity, cls});
 }
 
 ItemId KbBuilder::AddLiteral(std::string_view value) {
@@ -215,13 +214,9 @@ ItemId KbBuilder::AddLiteral(std::string_view value) {
   if (!inserted) return it->second;
   ItemId id(static_cast<uint32_t>(num_items()));
   it->second = id;
-  items_by_label_[normalized].push_back(id);
   kb_.label_blob_ += normalized;
   kb_.label_offsets_.push_back(kb_.label_blob_.size());
   kb_.literal_flags_.push_back(1);
-  item_classes_.emplace_back();
-  out_edges_.emplace_back();
-  in_edges_.emplace_back();
   return id;
 }
 
@@ -229,18 +224,49 @@ void KbBuilder::AddEdge(ItemId subject, RelationId relation, ItemId object) {
   DETECTIVE_CHECK(subject.valid() && relation.valid() && object.valid());
   DETECTIVE_CHECK(kb_.literal_flags_[subject.value()] == 0)
       << "literals cannot be triple subjects";
-  out_edges_[subject.value()].push_back({relation, object});
-  in_edges_[object.value()].push_back({relation, subject});
+  edges_.push_back({subject, relation, object});
 }
 
-ItemId KbBuilder::FindEntity(std::string_view label) const {
-  auto it = items_by_label_.find(NormalizeWhitespace(label));
-  if (it == items_by_label_.end()) return ItemId::Invalid();
-  for (ItemId id : it->second) {
-    if (kb_.literal_flags_[id.value()] == 0) return id;
+namespace {
+
+/// Stable counting sort of `entries` by `key(entry)`, a value below
+/// `num_keys`. When `offsets` is given it receives the CSR offsets of the
+/// keys: num_keys + 1 entries, key k's run at [offsets[k], offsets[k + 1]).
+template <typename Entry, typename Key>
+std::vector<Entry> CountingSort(const std::vector<Entry>& entries, size_t num_keys,
+                                Key key, std::vector<uint64_t>* offsets = nullptr) {
+  std::vector<uint64_t> next(num_keys + 1, 0);
+  for (const Entry& entry : entries) ++next[key(entry) + 1];
+  for (size_t k = 0; k < num_keys; ++k) next[k + 1] += next[k];
+  if (offsets != nullptr) *offsets = next;
+  std::vector<Entry> sorted(entries.size());
+  for (const Entry& entry : entries) {
+    sorted[static_cast<size_t>(next[key(entry)]++)] = entry;
   }
-  return ItemId::Invalid();
+  return sorted;
 }
+
+/// Sorts each CSR row and drops repeated entries, compacting the pool.
+void SortAndDedupRows(std::vector<uint64_t>* offsets, std::vector<KbEdge>* pool) {
+  const size_t rows = offsets->size() - 1;
+  size_t write = 0;
+  uint64_t row_begin = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t row_end = (*offsets)[r + 1];
+    auto first = pool->begin() + static_cast<std::ptrdiff_t>(row_begin);
+    auto last = pool->begin() + static_cast<std::ptrdiff_t>(row_end);
+    if (!std::is_sorted(first, last)) std::sort(first, last);
+    (*offsets)[r] = write;
+    for (auto it = first; it != last; ++it) {
+      if (it == first || !(*it == (*pool)[write - 1])) (*pool)[write++] = *it;
+    }
+    row_begin = row_end;
+  }
+  (*offsets)[rows] = write;
+  pool->resize(write);
+}
+
+}  // namespace
 
 Status KbBuilder::FreezeInto(KnowledgeBase* out) && {
   DETECTIVE_SCOPED_TIMER("kb.freeze");
@@ -292,18 +318,30 @@ Status KbBuilder::FreezeInto(KnowledgeBase* out) && {
     kb_.classes_[c].ancestors = std::move(closures[c]);
   }
 
+  // Direct classes per item, in the order they were added.
+  const size_t items = num_items();
+  {
+    std::vector<ItemClass> sorted = CountingSort(
+        item_classes_, items, [](const ItemClass& e) { return e.item.value(); },
+        &kb_.item_class_offsets_);
+    kb_.item_class_pool_.resize(sorted.size());
+    for (size_t i = 0; i < sorted.size(); ++i) kb_.item_class_pool_[i] = sorted[i].cls;
+  }
+  std::vector<ItemClass>().swap(item_classes_);
+
   // Per-class instance lists over the closure: every entity contributes to
   // each ancestor of each of its direct classes. Literals go to the literal
   // class only.
-  for (uint32_t i = 0; i < num_items(); ++i) {
+  std::vector<ClassId> all;
+  for (uint32_t i = 0; i < items; ++i) {
     ItemId item(i);
     if (kb_.literal_flags_[i] != 0) {
       kb_.classes_[kb_.literal_class_.value()].instances.push_back(item);
       continue;
     }
     // Dedup ancestors across multiple direct classes.
-    std::vector<ClassId> all;
-    for (ClassId direct : item_classes_[i]) {
+    all.clear();
+    for (ClassId direct : kb_.DirectClasses(item)) {
       const std::vector<ClassId>& anc = kb_.classes_[direct.value()].ancestors;
       all.insert(all.end(), anc.begin(), anc.end());
     }
@@ -311,64 +349,60 @@ Status KbBuilder::FreezeInto(KnowledgeBase* out) && {
     all.erase(std::unique(all.begin(), all.end()), all.end());
     for (ClassId cls : all) kb_.classes_[cls.value()].instances.push_back(item);
   }
-  // Sort + dedup adjacency for binary-searchable edge queries.
-  size_t edge_count = 0;
-  for (std::vector<KbEdge>& edges : out_edges_) {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    edge_count += edges.size();
-  }
-  for (std::vector<KbEdge>& edges : in_edges_) {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
-  kb_.num_edges_ = edge_count;
 
-  // Flatten the per-item building vectors into the frozen pools.
-  const size_t items = num_items();
-  kb_.item_class_offsets_.reserve(items + 1);
-  kb_.item_class_offsets_.push_back(0);
-  size_t class_total = 0;
-  for (const auto& classes : item_classes_) class_total += classes.size();
-  kb_.item_class_pool_.reserve(class_total);
-  for (const auto& classes : item_classes_) {
-    kb_.item_class_pool_.insert(kb_.item_class_pool_.end(), classes.begin(),
-                                classes.end());
-    kb_.item_class_offsets_.push_back(kb_.item_class_pool_.size());
-  }
-  auto flatten_edges = [items](const std::vector<std::vector<KbEdge>>& rows,
-                               std::vector<uint64_t>* offsets,
-                               std::vector<KbEdge>* pool) {
-    offsets->reserve(items + 1);
-    offsets->push_back(0);
-    size_t total = 0;
-    for (const auto& row : rows) total += row.size();
-    pool->reserve(total);
-    for (const auto& row : rows) {
-      pool->insert(pool->end(), row.begin(), row.end());
-      offsets->push_back(pool->size());
+  // Adjacency: out-rows keyed by subject, in-rows by object, each sorted by
+  // (relation, other end) for binary-searchable edge queries.
+  {
+    std::vector<Edge> by_subject = CountingSort(
+        edges_, items, [](const Edge& e) { return e.subject.value(); },
+        &kb_.out_edge_offsets_);
+    std::vector<Edge>().swap(edges_);
+    kb_.out_edge_pool_.resize(by_subject.size());
+    for (size_t k = 0; k < by_subject.size(); ++k) {
+      kb_.out_edge_pool_[k] = {by_subject[k].relation, by_subject[k].object};
     }
-  };
-  flatten_edges(out_edges_, &kb_.out_edge_offsets_, &kb_.out_edge_pool_);
-  flatten_edges(in_edges_, &kb_.in_edge_offsets_, &kb_.in_edge_pool_);
-
-  // Label index: groups ordered by label so the frozen lookup is a binary
-  // search (and the snapshot bytes are deterministic).
-  std::vector<const std::pair<const std::string, std::vector<ItemId>>*> groups;
-  groups.reserve(items_by_label_.size());
-  for (const auto& entry : items_by_label_) groups.push_back(&entry);
-  std::sort(groups.begin(), groups.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  kb_.label_group_offsets_.reserve(groups.size() + 1);
-  kb_.label_group_offsets_.push_back(0);
-  size_t group_total = 0;
-  for (const auto* group : groups) group_total += group->second.size();
-  kb_.label_group_pool_.reserve(group_total);
-  for (const auto* group : groups) {
-    kb_.label_group_pool_.insert(kb_.label_group_pool_.end(),
-                                 group->second.begin(), group->second.end());
-    kb_.label_group_offsets_.push_back(kb_.label_group_pool_.size());
   }
+  SortAndDedupRows(&kb_.out_edge_offsets_, &kb_.out_edge_pool_);
+  // The in-rows come from the sorted, repeat-free out-rows, which list the
+  // edges by subject: stable counting sorts by relation, then by object,
+  // leave each in-row sorted by (relation, subject).
+  {
+    std::vector<Edge> in_order;
+    in_order.reserve(kb_.out_edge_pool_.size());
+    for (uint32_t i = 0; i < items; ++i) {
+      for (const KbEdge& edge : kb_.OutEdges(ItemId(i))) {
+        in_order.push_back({ItemId(i), edge.relation, edge.target});
+      }
+    }
+    in_order = CountingSort(
+        CountingSort(in_order, kb_.relation_names_.size(),
+                     [](const Edge& e) { return e.relation.value(); }),
+        items, [](const Edge& e) { return e.object.value(); },
+        &kb_.in_edge_offsets_);
+    kb_.in_edge_pool_.resize(in_order.size());
+    for (size_t k = 0; k < in_order.size(); ++k) {
+      kb_.in_edge_pool_[k] = {in_order[k].relation, in_order[k].subject};
+    }
+  }
+  kb_.num_edges_ = kb_.out_edge_pool_.size();
+
+  // Label index: item ids sorted by (label, id), cut into groups of equal
+  // labels, so the frozen lookup is a binary search (and the snapshot bytes
+  // are deterministic).
+  std::vector<ItemId>& order = kb_.label_group_pool_;
+  order.resize(items);
+  for (uint32_t i = 0; i < items; ++i) order[i] = ItemId(i);
+  std::sort(order.begin(), order.end(), [this](ItemId a, ItemId b) {
+    const int cmp = kb_.Label(a).compare(kb_.Label(b));
+    return cmp != 0 ? cmp < 0 : a < b;
+  });
+  kb_.label_group_offsets_.clear();
+  for (size_t i = 0; i < items; ++i) {
+    if (i == 0 || kb_.Label(order[i]) != kb_.Label(order[i - 1])) {
+      kb_.label_group_offsets_.push_back(i);
+    }
+  }
+  kb_.label_group_offsets_.push_back(items);
 
   *out = std::move(kb_);
   return Status::OK();

@@ -163,7 +163,9 @@ class KnowledgeBase {
   size_t num_edges_ = 0;
 };
 
-/// Mutating construction API for KnowledgeBase.
+/// Mutating construction API for KnowledgeBase. The text loaders
+/// (ntriples_parser.h), the data generators and the tests all build through
+/// it, so every KB is frozen by the same code.
 ///
 /// Typical use:
 ///   KbBuilder b;
@@ -183,6 +185,7 @@ class KbBuilder {
 
   /// Adds a subClassOf edge between existing or new classes.
   void AddSubclass(std::string_view sub, std::string_view super);
+  void AddSubclass(ClassId sub, ClassId super);
 
   /// Declares (or finds) an edge label.
   RelationId AddRelation(std::string_view name);
@@ -202,15 +205,13 @@ class KbBuilder {
   /// deduplicated at freeze time.
   void AddEdge(ItemId subject, RelationId relation, ItemId object);
 
-  /// First entity with this normalized label, or Invalid().
-  ItemId FindEntity(std::string_view label) const;
-
   size_t num_items() const { return kb_.literal_flags_.size(); }
 
-  /// Validates the taxonomy (rejects subClassOf cycles), sorts adjacency,
-  /// computes ancestor closures and per-class instance lists, and flattens
-  /// the per-item building vectors into the frozen pools. The builder is
-  /// consumed.
+  /// Validates the taxonomy (rejects subClassOf cycles), computes ancestor
+  /// closures and per-class instance lists, builds the out/in adjacency by
+  /// counting sort over the edge list (each row sorted by (relation, id) and
+  /// deduplicated), and the label index from the item ids sorted by label.
+  /// The builder is consumed.
   Status FreezeInto(KnowledgeBase* out) &&;
 
   /// Convenience wrapper that aborts on invalid input; for generators and
@@ -218,14 +219,22 @@ class KbBuilder {
   KnowledgeBase Freeze() &&;
 
  private:
+  struct Edge {
+    ItemId subject;
+    RelationId relation;
+    ItemId object;
+  };
+  struct ItemClass {
+    ItemId item;
+    ClassId cls;
+  };
+
   KnowledgeBase kb_;
-  // Mutable per-item state during construction; flattened into the frozen
-  // pools by FreezeInto. Labels go straight into kb_.label_blob_ (they never
-  // change once added), the label→items map becomes the sorted group index.
-  std::vector<std::vector<ClassId>> item_classes_;
-  std::vector<std::vector<KbEdge>> out_edges_;
-  std::vector<std::vector<KbEdge>> in_edges_;
-  std::unordered_map<std::string, std::vector<ItemId>> items_by_label_;
+  // Construction state, in insertion order; FreezeInto turns both lists into
+  // the frozen per-item pools. Labels go straight into kb_.label_blob_ (they
+  // never change once added).
+  std::vector<ItemClass> item_classes_;
+  std::vector<Edge> edges_;
   std::unordered_map<std::string, ItemId> literal_by_value_;
 };
 

@@ -1,15 +1,21 @@
 #include "kb/ntriples_parser.h"
 
-#include <cctype>
-#include <fstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <deque>
 #include <span>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/string_util.h"
+#include "common/trace.h"
 
 namespace detective {
 
@@ -50,21 +56,16 @@ constexpr std::string_view kSubclassPredicates[] = {"rdfs:subClassOf", "subClass
 constexpr std::string_view kLabelPredicates[] = {"rdfs:label", "label"};
 constexpr std::string_view kClassMarkers[] = {"rdfs:Class", "owl:Class"};
 
-bool IsAnyOf(std::string_view name, std::span<const std::string_view> set) {
-  for (std::string_view candidate : set) {
-    if (name == candidate) return true;
-  }
-  return false;
+/// std::isspace in the "C" locale (the only one the tools run in), inline:
+/// the tokenizer asks it for nearly every byte.
+bool IsSpace(char c) {
+  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
 }
 
-/// A triple whose IRIs have been reduced to local names but whose role
-/// (class vs entity) is not yet known.
-struct RawTriple {
-  std::string subject;
-  std::string predicate;
-  std::string object;
-  bool object_is_literal = false;
-};
+size_t SkipSpace(std::string_view text, size_t i) {
+  while (i < text.size() && IsSpace(text[i])) ++i;
+  return i;
+}
 
 /// Strips a namespace prefix and turns underscores into spaces so IRIs match
 /// relational cell values ("Avram_Hershko" -> "Avram Hershko"). Predicates
@@ -75,295 +76,468 @@ std::string PrettifyLocalName(std::string_view iri) {
   return ReplaceAll(local, "_", " ");
 }
 
-/// Parses a quoted literal starting at text[pos] == '"'. Handles \" \\ \n \t
-/// escapes and strips trailing @lang / ^^<datatype> suffixes.
-Status ParseLiteral(std::string_view text, size_t* pos, std::string* out,
-                    size_t line_number) {
-  size_t i = *pos + 1;  // skip opening quote
-  out->clear();
-  while (i < text.size()) {
-    char c = text[i];
-    if (c == '\\' && i + 1 < text.size()) {
-      char next = text[i + 1];
-      switch (next) {
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case '"':
-        case '\\':
-          out->push_back(next);
-          break;
-        default:
-          out->push_back(next);
-          break;
-      }
-      i += 2;
-      continue;
-    }
-    if (c == '"') {
-      i += 1;
-      // Skip @lang or ^^<datatype> suffix.
-      if (i < text.size() && text[i] == '@') {
-        while (i < text.size() && !std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-      } else if (i + 1 < text.size() && text[i] == '^' && text[i + 1] == '^') {
-        while (i < text.size() && !std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-      }
-      *pos = i;
-      return Status::OK();
-    }
-    out->push_back(c);
-    ++i;
+/// Reads `<...>` at text[*i]; `*iri` views the text between the brackets.
+Status ReadIri(std::string_view text, size_t* i, std::string_view* iri,
+               size_t line_number) {
+  if (*i >= text.size() || text[*i] != '<') {
+    return Status::ParseError("expected '<' on line ", line_number);
   }
-  return Status::ParseError("unterminated literal on line ", line_number);
+  const size_t end = text.find('>', *i);
+  if (end == std::string_view::npos) {
+    return Status::ParseError("unterminated IRI on line ", line_number);
+  }
+  *iri = text.substr(*i + 1, end - *i - 1);
+  *i = end + 1;
+  return Status::OK();
 }
 
-Status ParseNTriplesLine(std::string_view line, size_t line_number,
-                         std::vector<RawTriple>* out) {
+/// Parses the quoted literal at text[*pos] == '"'. Without a backslash in it,
+/// `*value` views `text`; otherwise the value is unescaped into `*scratch`
+/// (\" \\ \n \t, any other escaped character stands for itself), `*value`
+/// views that, and `*escaped` is set. Strips a trailing @lang or ^^<datatype>.
+Status ParseLiteral(std::string_view text, size_t* pos, std::string* scratch,
+                    std::string_view* value, bool* escaped, size_t line_number) {
+  const size_t begin = *pos + 1;  // skip opening quote
+  size_t i = begin;
+  while (i < text.size() && text[i] != '"' && text[i] != '\\') ++i;
+  *escaped = i < text.size() && text[i] == '\\';
+  if (*escaped) {
+    scratch->assign(text.substr(begin, i - begin));
+    while (i < text.size()) {
+      const char c = text[i];
+      if (c == '\\' && i + 1 < text.size()) {
+        const char next = text[i + 1];
+        scratch->push_back(next == 'n' ? '\n' : next == 't' ? '\t' : next);
+        i += 2;
+        continue;
+      }
+      if (c == '"') break;
+      scratch->push_back(c);
+      ++i;
+    }
+  }
+  if (i >= text.size()) {
+    return Status::ParseError("unterminated literal on line ", line_number);
+  }
+  *value = *escaped ? std::string_view(*scratch) : text.substr(begin, i - begin);
+  ++i;  // closing quote
+  if (i < text.size() && text[i] == '@') {
+    while (i < text.size() && !IsSpace(text[i])) ++i;
+  } else if (i + 1 < text.size() && text[i] == '^' && text[i + 1] == '^') {
+    while (i < text.size() && !IsSpace(text[i])) ++i;
+  }
+  *pos = i;
+  return Status::OK();
+}
+
+constexpr uint32_t kNoTerm = ~0u;
+
+/// Interns term views to dense ids in first-seen order: an open-addressed
+/// table (linear probing, load <= 1/2) of {id, 32-bit hash} slots; the
+/// views themselves sit in `terms_`, indexed by id. Views must outlive the
+/// table; InternCopy keeps its own copy of the text.
+class TermTable {
+ public:
+  explicit TermTable(size_t expected_terms) {
+    size_t capacity = 1024;
+    while (capacity < 2 * expected_terms) capacity *= 2;
+    slots_.assign(capacity, Slot{kNoTerm, 0});
+    terms_.reserve(expected_terms);
+  }
+
+  uint32_t Intern(std::string_view text) {
+    const uint32_t hash = Hash(text);
+    Slot& slot = slots_[Probe(text, hash)];
+    if (slot.id != kNoTerm) return slot.id;
+    const auto id = static_cast<uint32_t>(terms_.size());
+    slot = Slot{id, hash};
+    terms_.push_back(text);
+    if (2 * terms_.size() > slots_.size()) Grow();
+    return id;
+  }
+
+  /// Intern for a transient view: copied into stable storage on first sight.
+  uint32_t InternCopy(std::string_view text) {
+    const uint32_t id = Find(text);
+    return id != kNoTerm ? id : Intern(copies_.emplace_back(text));
+  }
+
+  /// The id of `text`, or kNoTerm.
+  uint32_t Find(std::string_view text) const {
+    return slots_[Probe(text, Hash(text))].id;
+  }
+
+  std::string_view operator[](uint32_t id) const { return terms_[id]; }
+  size_t size() const { return terms_.size(); }
+
+ private:
+  struct Slot {
+    uint32_t id;
+    uint32_t hash;
+  };
+
+  static uint32_t Hash(std::string_view text) {
+    const uint64_t h = std::hash<std::string_view>{}(text);
+    return static_cast<uint32_t>(h ^ (h >> 32));
+  }
+
+  /// The index of the slot holding `text`, or of the empty slot where it
+  /// belongs.
+  size_t Probe(std::string_view text, uint32_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kNoTerm || (slot.hash == hash && terms_[slot.id] == text)) {
+        return i;
+      }
+    }
+  }
+
+  void Grow() {
+    std::vector<Slot> old(2 * slots_.size(), Slot{kNoTerm, 0});
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kNoTerm) continue;
+      size_t i = slot.hash & mask;
+      while (slots_[i].id != kNoTerm) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<std::string_view> terms_;  // by id
+  std::deque<std::string> copies_;       // stable storage for InternCopy
+};
+
+/// One triple as dense term ids.
+struct FlatTriple {
+  uint32_t subject;
+  uint32_t predicate;
+  uint32_t object;
+  uint32_t literal;  // 1 when the object is a literal value
+};
+
+/// A tokenized text KB. Every distinct term (the text of an IRI between its
+/// brackets, a bare predicate, a TSV field, or a literal's value after
+/// unescaping) is interned to a dense id; the triples are kept as flat id
+/// quadruples in file order. Terms view the input text, which must outlive
+/// this object.
+class TextTriples {
+ public:
+  /// Sized by guesses of one triple per 24 bytes and one new term per 100
+  /// bytes; both grow past them.
+  explicit TextTriples(size_t text_bytes) : terms_(text_bytes / 100) {
+    triples_.reserve(text_bytes / 24);
+  }
+
+  Status AddNTriplesLine(std::string_view line, size_t line_number);
+  Status AddTsvLine(std::string_view line, size_t line_number);
+
+  /// Builds vocabulary, items and edges into `builder`, numbering classes,
+  /// items and relations exactly as the file order dictates (see below).
+  void BuildInto(KbBuilder* builder) const;
+
+ private:
+  TermTable terms_;
+  std::vector<FlatTriple> triples_;
+  std::string scratch_;  // literal unescape buffer
+};
+
+Status TextTriples::AddNTriplesLine(std::string_view line, size_t line_number) {
   std::string_view trimmed = TrimView(line);
   if (trimmed.empty() || trimmed.front() == '#') return Status::OK();
 
-  auto skip_ws = [&](size_t i) {
-    while (i < trimmed.size() && std::isspace(static_cast<unsigned char>(trimmed[i]))) ++i;
-    return i;
-  };
-  auto read_iri = [&](size_t* i, std::string_view* iri) -> Status {
-    if (*i >= trimmed.size() || trimmed[*i] != '<') {
-      return Status::ParseError("expected '<' on line ", line_number);
-    }
-    size_t end = trimmed.find('>', *i);
-    if (end == std::string_view::npos) {
-      return Status::ParseError("unterminated IRI on line ", line_number);
-    }
-    *iri = trimmed.substr(*i + 1, end - *i - 1);
-    *i = end + 1;
-    return Status::OK();
-  };
-
-  RawTriple triple;
   size_t i = 0;
-  std::string_view subject_iri;
-  RETURN_NOT_OK(read_iri(&i, &subject_iri));
-  triple.subject = std::string(subject_iri);
+  std::string_view subject;
+  RETURN_NOT_OK(ReadIri(trimmed, &i, &subject, line_number));
 
-  i = skip_ws(i);
+  i = SkipSpace(trimmed, i);
   // Predicates may be bare tokens (rdf:type, a) or IRIs.
+  std::string_view predicate;
   if (i < trimmed.size() && trimmed[i] == '<') {
-    std::string_view predicate_iri;
-    RETURN_NOT_OK(read_iri(&i, &predicate_iri));
-    triple.predicate = std::string(predicate_iri);
+    RETURN_NOT_OK(ReadIri(trimmed, &i, &predicate, line_number));
   } else {
-    size_t start = i;
-    while (i < trimmed.size() && !std::isspace(static_cast<unsigned char>(trimmed[i]))) ++i;
+    const size_t start = i;
+    while (i < trimmed.size() && !IsSpace(trimmed[i])) ++i;
     if (start == i) return Status::ParseError("missing predicate on line ", line_number);
-    triple.predicate = std::string(trimmed.substr(start, i - start));
+    predicate = trimmed.substr(start, i - start);
   }
 
-  i = skip_ws(i);
+  i = SkipSpace(trimmed, i);
   if (i >= trimmed.size()) {
     return Status::ParseError("missing object on line ", line_number);
   }
-  if (trimmed[i] == '"') {
-    RETURN_NOT_OK(ParseLiteral(trimmed, &i, &triple.object, line_number));
-    triple.object_is_literal = true;
+  std::string_view object;
+  const bool literal = trimmed[i] == '"';
+  bool escaped = false;
+  if (literal) {
+    RETURN_NOT_OK(
+        ParseLiteral(trimmed, &i, &scratch_, &object, &escaped, line_number));
   } else {
-    std::string_view object_iri;
-    RETURN_NOT_OK(read_iri(&i, &object_iri));
-    triple.object = std::string(object_iri);
+    RETURN_NOT_OK(ReadIri(trimmed, &i, &object, line_number));
   }
 
-  i = skip_ws(i);
+  i = SkipSpace(trimmed, i);
   if (i >= trimmed.size() || trimmed[i] != '.') {
     return Status::ParseError("expected terminating '.' on line ", line_number);
   }
-  if (skip_ws(i + 1) != trimmed.size()) {
+  if (SkipSpace(trimmed, i + 1) != trimmed.size()) {
     return Status::ParseError("trailing content after '.' on line ", line_number);
   }
-  out->push_back(std::move(triple));
+  const uint32_t s = terms_.Intern(subject);
+  const uint32_t p = terms_.Intern(predicate);
+  const uint32_t o = escaped ? terms_.InternCopy(object) : terms_.Intern(object);
+  triples_.push_back({s, p, o, literal ? 1u : 0u});
   return Status::OK();
 }
 
-Status ParseTsvLine(std::string_view line, size_t line_number,
-                    std::vector<RawTriple>* out) {
+Status TextTriples::AddTsvLine(std::string_view line, size_t line_number) {
   std::string_view trimmed = TrimView(line);
   if (trimmed.empty() || trimmed.front() == '#') return Status::OK();
-  std::vector<std::string> fields = Split(trimmed, '\t');
-  if (fields.size() != 3) {
+  const size_t tab1 = trimmed.find('\t');
+  const size_t tab2 =
+      tab1 == std::string_view::npos ? tab1 : trimmed.find('\t', tab1 + 1);
+  if (tab2 == std::string_view::npos ||
+      trimmed.find('\t', tab2 + 1) != std::string_view::npos) {
+    const size_t fields = 1 + static_cast<size_t>(
+                                  std::count(trimmed.begin(), trimmed.end(), '\t'));
     return Status::ParseError("expected 3 tab-separated fields on line ", line_number,
-                              ", got ", fields.size());
+                              ", got ", fields);
   }
-  RawTriple triple;
-  triple.subject = Trim(fields[0]);
-  triple.predicate = Trim(fields[1]);
-  std::string object = Trim(fields[2]);
-  if (object.size() >= 2 && object.front() == '"' && object.back() == '"') {
-    triple.object = object.substr(1, object.size() - 2);
-    triple.object_is_literal = true;
-  } else {
-    triple.object = std::move(object);
-  }
-  if (triple.subject.empty() || triple.predicate.empty()) {
+  const std::string_view subject = TrimView(trimmed.substr(0, tab1));
+  const std::string_view predicate =
+      TrimView(trimmed.substr(tab1 + 1, tab2 - tab1 - 1));
+  std::string_view object = TrimView(trimmed.substr(tab2 + 1));
+  const bool literal =
+      object.size() >= 2 && object.front() == '"' && object.back() == '"';
+  if (literal) object = object.substr(1, object.size() - 2);
+  if (subject.empty() || predicate.empty()) {
     return Status::ParseError("empty subject or predicate on line ", line_number);
   }
-  out->push_back(std::move(triple));
+  const uint32_t s = terms_.Intern(subject);
+  const uint32_t p = terms_.Intern(predicate);
+  const uint32_t o = terms_.Intern(object);
+  triples_.push_back({s, p, o, literal ? 1u : 0u});
   return Status::OK();
 }
 
-/// Second pass shared by both formats: decide which names denote classes,
-/// then build the KB.
-Result<KnowledgeBase> BuildFromTriples(const std::vector<RawTriple>& triples) {
-  // A name is a class iff it appears as (a) the object of rdf:type (unless
-  // that object is the explicit class marker, which classifies the subject),
-  // or (b) either side of rdfs:subClassOf.
-  std::unordered_set<std::string> class_names;
-  for (const RawTriple& t : triples) {
-    if (IsAnyOf(t.predicate, kSubclassPredicates)) {
-      class_names.insert(t.subject);
-      class_names.insert(t.object);
-    } else if (IsAnyOf(t.predicate, kTypePredicates) && !t.object_is_literal) {
-      if (IsAnyOf(t.object, kClassMarkers)) {
-        class_names.insert(t.subject);
-      } else {
-        class_names.insert(t.object);
-      }
+// The build is a few passes over the flat triples in file order, each a
+// lookup into per-term arrays; names are prettified and normalized once per
+// distinct term. What the passes pin:
+//   - A term is a class iff it is (a) the object of a type triple (unless the
+//     object is a class marker, which makes the subject a class) or (b)
+//     either side of a subClassOf triple. Classes are numbered by iterating
+//     an unordered_set of their names filled in file order, so the ids match
+//     every earlier build of the same file.
+//   - An explicit label beats the prettified IRI whatever the triple order;
+//     the last label triple of a subject wins.
+//   - Entities, literals and relations are numbered by first use in the
+//     third pass; a type triple whose subject is a class makes no entity.
+void TextTriples::BuildInto(KbBuilder* builder) const {
+  // Schema roles by term id: the few schema names are looked up once (the
+  // name sets are disjoint). A predicate with no schema role is a relation.
+  enum Role : uint8_t { kRelation, kType, kSubclass, kLabel, kClassMarker };
+  const size_t num_terms = terms_.size();
+  std::vector<uint8_t> role(num_terms, kRelation);
+  auto assign = [&](std::span<const std::string_view> names, Role r) {
+    for (std::string_view name : names) {
+      const uint32_t term = terms_.Find(name);
+      if (term != kNoTerm) role[term] = r;
     }
-  }
-
-  // Explicit rdfs:label beats the prettified IRI; collect before creating
-  // any entity so the right label is used regardless of triple order.
-  std::unordered_map<std::string, std::string> labels;  // iri -> explicit label
-  for (const RawTriple& t : triples) {
-    if (IsAnyOf(t.predicate, kLabelPredicates) && t.object_is_literal) {
-      labels[t.subject] = t.object;
-    }
-  }
-
-  KbBuilder builder;
-  std::unordered_map<std::string, ClassId> class_ids;
-  class_ids.reserve(class_names.size());
-  for (const std::string& name : class_names) {
-    class_ids.emplace(name, builder.AddClass(PrettifyLocalName(name)));
-  }
-
-  // Entities are identified by IRI (not by label): create lazily.
-  std::unordered_map<std::string, ItemId> entity_ids;
-  auto entity_for = [&](const std::string& iri) {
-    auto [it, inserted] = entity_ids.try_emplace(iri, ItemId::Invalid());
-    if (inserted) {
-      auto label_it = labels.find(iri);
-      it->second = builder.AddEntity(
-          label_it != labels.end() ? label_it->second : PrettifyLocalName(iri), {});
-    }
-    return it->second;
   };
+  assign(kTypePredicates, kType);
+  assign(kSubclassPredicates, kSubclass);
+  assign(kLabelPredicates, kLabel);
+  assign(kClassMarkers, kClassMarker);
+  auto is_class_marker = [&](uint32_t term) { return role[term] == kClassMarker; };
 
-  for (const RawTriple& t : triples) {
-    if (IsAnyOf(t.predicate, kSubclassPredicates)) continue;  // handled below
-    if (IsAnyOf(t.predicate, kTypePredicates) && !t.object_is_literal) {
-      if (IsAnyOf(t.object, kClassMarkers)) continue;  // class declaration
-      if (class_names.contains(t.subject)) continue;   // classes aren't entities
-      builder.AddClassToEntity(entity_for(t.subject), class_ids.at(t.object));
+  // Pass 1: class names. Only first sightings reach the set, which leaves
+  // its iteration order as if every sighting had been inserted.
+  std::vector<uint8_t> is_class(num_terms, 0);
+  std::unordered_set<std::string> class_names;
+  auto mark_class = [&](uint32_t term) {
+    if (is_class[term] != 0) return;
+    is_class[term] = 1;
+    class_names.emplace(terms_[term]);
+  };
+  for (const FlatTriple& t : triples_) {
+    const uint8_t r = role[t.predicate];
+    if (r == kSubclass) {
+      mark_class(t.subject);
+      mark_class(t.object);
+    } else if (r == kType && t.literal == 0) {
+      mark_class(is_class_marker(t.object) ? t.subject : t.object);
+    }
+  }
+
+  // Pass 2: explicit labels.
+  std::vector<uint32_t> label_of(num_terms, kNoTerm);
+  for (const FlatTriple& t : triples_) {
+    if (t.literal != 0 && role[t.predicate] == kLabel) label_of[t.subject] = t.object;
+  }
+
+  std::vector<ClassId> class_of(num_terms);
+  for (const std::string& name : class_names) {
+    class_of[terms_.Find(name)] = builder->AddClass(PrettifyLocalName(name));
+  }
+
+  // Pass 3: entities, literals, relations and edges.
+  std::vector<ItemId> entity_of(num_terms);
+  std::vector<ItemId> literal_of(num_terms);
+  std::vector<RelationId> relation_of(num_terms);
+  auto entity_for = [&](uint32_t term) {
+    ItemId& id = entity_of[term];
+    if (!id.valid()) {
+      id = label_of[term] != kNoTerm
+               ? builder->AddEntity(terms_[label_of[term]], {})
+               : builder->AddEntity(PrettifyLocalName(terms_[term]), {});
+    }
+    return id;
+  };
+  for (const FlatTriple& t : triples_) {
+    const uint8_t r = role[t.predicate];
+    if (r == kSubclass) continue;  // pass 4
+    if (r == kType && t.literal == 0) {
+      if (is_class_marker(t.object)) continue;  // class declaration
+      if (is_class[t.subject] != 0) continue;   // classes aren't entities
+      builder->AddClassToEntity(entity_for(t.subject), class_of[t.object]);
       continue;
     }
-    if (IsAnyOf(t.predicate, kLabelPredicates) && t.object_is_literal) {
-      continue;  // applied at entity creation
+    if (r == kLabel && t.literal != 0) continue;  // applied at entity creation
+    const ItemId subject = entity_for(t.subject);
+    RelationId& relation = relation_of[t.predicate];
+    if (!relation.valid()) {
+      relation = builder->AddRelation(PrettifyLocalName(terms_[t.predicate]));
     }
-    ItemId subject = entity_for(t.subject);
-    RelationId relation = builder.AddRelation(PrettifyLocalName(t.predicate));
-    ItemId object = t.object_is_literal ? builder.AddLiteral(t.object)
-                                        : entity_for(t.object);
-    builder.AddEdge(subject, relation, object);
+    ItemId object;
+    if (t.literal != 0) {
+      ItemId& literal = literal_of[t.object];
+      if (!literal.valid()) literal = builder->AddLiteral(terms_[t.object]);
+      object = literal;
+    } else {
+      object = entity_for(t.object);
+    }
+    builder->AddEdge(subject, relation, object);
   }
 
-  for (const RawTriple& t : triples) {
-    if (!IsAnyOf(t.predicate, kSubclassPredicates)) continue;
-    builder.AddSubclass(PrettifyLocalName(t.subject), PrettifyLocalName(t.object));
+  // Pass 4: the taxonomy.
+  for (const FlatTriple& t : triples_) {
+    if (role[t.predicate] == kSubclass) {
+      builder->AddSubclass(class_of[t.subject], class_of[t.object]);
+    }
   }
-
-  KnowledgeBase kb;
-  Status st = std::move(builder).FreezeInto(&kb);
-  if (!st.ok()) return st;
-  return kb;
 }
 
-Result<std::vector<RawTriple>> TokenizeNTriples(std::string_view text) {
-  std::vector<RawTriple> triples;
+enum class TextFormat { kNTriples, kTsv };
+
+/// Tokenizes `text` line by line (lines split with memchr, each checked
+/// against the line limits; a parse error names the line's byte offset and
+/// quotes it), then builds the KB's contents into `builder`. The
+/// `kb.parse_text` span covers both; the freeze is the caller's.
+Status ParseTextInto(std::string_view text, TextFormat format, KbBuilder* builder) {
+  DETECTIVE_TRACE_NAMED_SPAN(span, "kb.parse_text");
+  TextTriples triples(text.size());
+  const auto add_line = format == TextFormat::kTsv ? &TextTriples::AddTsvLine
+                                                   : &TextTriples::AddNTriplesLine;
   size_t line_number = 1;
   size_t start = 0;
-  while (start <= text.size()) {
-    size_t end = text.find('\n', start);
-    std::string_view line = end == std::string_view::npos
-                                ? text.substr(start)
-                                : text.substr(start, end - start);
+  while (true) {
+    const void* newline =
+        start < text.size()
+            ? std::memchr(text.data() + start, '\n', text.size() - start)
+            : nullptr;
+    const size_t end = newline != nullptr
+                           ? static_cast<size_t>(static_cast<const char*>(newline) -
+                                                 text.data())
+                           : text.size();
+    const std::string_view line = text.substr(start, end - start);
     Status st = CheckLineLimits(line, line_number);
-    if (st.ok()) st = ParseNTriplesLine(line, line_number, &triples);
+    if (st.ok()) st = (triples.*add_line)(line, line_number);
     if (!st.ok()) return AnnotateLineError(st, line, start);
-    if (end == std::string_view::npos) break;
+    if (newline == nullptr) break;
     start = end + 1;
     ++line_number;
   }
-  return triples;
+  span.SetArgs({"bytes", static_cast<int64_t>(text.size())},
+               {"lines", static_cast<int64_t>(line_number)});
+  triples.BuildInto(builder);
+  return Status::OK();
 }
 
-}  // namespace
-
-Result<KnowledgeBase> ParseNTriples(std::string_view text) {
-  auto triples = TokenizeNTriples(text);
-  if (!triples.ok()) return triples.status();
-  return BuildFromTriples(*triples);
+Result<KnowledgeBase> Freeze(KbBuilder builder) {
+  KnowledgeBase kb;
+  RETURN_NOT_OK(std::move(builder).FreezeInto(&kb));
+  return kb;
 }
 
-namespace {
+Result<KnowledgeBase> ParseText(std::string_view text, TextFormat format) {
+  KbBuilder builder;
+  RETURN_NOT_OK(ParseTextInto(text, format, &builder));
+  return Freeze(std::move(builder));
+}
 
-/// Reads the whole file, retrying transient I/O failures (including
-/// injected ones at the "kb.load" probe) with capped backoff; parse errors
-/// downstream are permanent and never retried.
+/// Closes a file descriptor when it goes out of scope.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  ~FdCloser() { ::close(fd_); }
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+
+ private:
+  int fd_;
+};
+
+/// Reads the whole file into one buffer (sized by fstat, then read() until
+/// EOF), retrying transient I/O failures (including injected ones at the
+/// "kb.load" probe) with capped backoff; parse errors downstream are
+/// permanent and never retried.
 Result<std::string> ReadKbFile(const std::string& path) {
   return fault::RetryTransient([&]() -> Result<std::string> {
     DETECTIVE_FAULT_POINT("kb.load");
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IOError("cannot open ", path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) return Status::IOError("read failed for ", path);
-    return buffer.str();
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return Status::IOError("cannot open ", path);
+    FdCloser closer(fd);
+    struct stat st = {};
+    if (::fstat(fd, &st) != 0) return Status::IOError("read failed for ", path);
+    // st_size is only a hint (0 for pipes): read until EOF, growing as needed.
+    std::string text(static_cast<size_t>(std::max<off_t>(st.st_size, 0)) + 1, '\0');
+    size_t size = 0;
+    while (true) {
+      if (size == text.size()) text.resize(text.size() * 2);
+      const ssize_t n = ::read(fd, text.data() + size, text.size() - size);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Status::IOError("read failed for ", path);
+      }
+      if (n == 0) break;
+      size += static_cast<size_t>(n);
+    }
+    text.resize(size);
+    return text;
   });
 }
 
 }  // namespace
 
-Result<KnowledgeBase> ParseNTriplesFile(const std::string& path) {
-  auto text = ReadKbFile(path);
-  if (!text.ok()) return text.status();
-  return ParseNTriples(*text);
-}
-
-Result<KnowledgeBase> LoadKbFile(const std::string& path) {
-  if (!EndsWith(path, ".tsv")) return ParseNTriplesFile(path);
-  auto text = ReadKbFile(path);
-  if (!text.ok()) return text.status();
-  return ParseTsvTriples(*text);
+Result<KnowledgeBase> ParseNTriples(std::string_view text) {
+  return ParseText(text, TextFormat::kNTriples);
 }
 
 Result<KnowledgeBase> ParseTsvTriples(std::string_view text) {
-  std::vector<RawTriple> triples;
-  size_t line_number = 1;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t end = text.find('\n', start);
-    std::string_view line = end == std::string_view::npos
-                                ? text.substr(start)
-                                : text.substr(start, end - start);
-    Status st = CheckLineLimits(line, line_number);
-    if (st.ok()) st = ParseTsvLine(line, line_number, &triples);
-    if (!st.ok()) return AnnotateLineError(st, line, start);
-    if (end == std::string_view::npos) break;
-    start = end + 1;
-    ++line_number;
-  }
-  return BuildFromTriples(triples);
+  return ParseText(text, TextFormat::kTsv);
+}
+
+Result<KnowledgeBase> LoadKbFile(const std::string& path) {
+  KbBuilder builder;
+  {
+    ASSIGN_OR_RETURN(const std::string text, ReadKbFile(path));
+    RETURN_NOT_OK(ParseTextInto(
+        text, EndsWith(path, ".tsv") ? TextFormat::kTsv : TextFormat::kNTriples,
+        &builder));
+  }  // the file buffer is released before the freeze allocates its pools
+  return Freeze(std::move(builder));
 }
 
 namespace {

@@ -36,8 +36,12 @@ inline constexpr size_t kMaxKbLines = 50'000'000;
 ///
 /// The same data can be supplied as TAB-separated values (one triple per
 /// line, literal objects double-quoted); see ParseTsvTriples.
+///
+/// Both formats load in one flat pass: terms are interned to dense ids as
+/// views into the text (a literal is copied only when it holds an escape),
+/// the triples become flat id quadruples, and a few passes over them in file
+/// order fill a KbBuilder, whose freeze is shared with every other KB.
 Result<KnowledgeBase> ParseNTriples(std::string_view text);
-Result<KnowledgeBase> ParseNTriplesFile(const std::string& path);
 
 /// TSV flavour: `subject<TAB>predicate<TAB>object`, with `"..."` marking
 /// literal objects. Schema predicates behave as in ParseNTriples.
@@ -45,7 +49,7 @@ Result<KnowledgeBase> ParseTsvTriples(std::string_view text);
 
 /// Loads a KB file, dispatching on the extension: `.tsv` selects the TSV
 /// triple format, anything else the N-Triples subset. The one loader every
-/// CLI tool shares.
+/// CLI tool shares. The file is read into one buffer sized by fstat.
 Result<KnowledgeBase> LoadKbFile(const std::string& path);
 
 /// Serializes a KnowledgeBase back to the N-Triples subset (round-trips

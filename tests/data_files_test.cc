@@ -32,7 +32,7 @@ std::string DataPath(const std::string& name) {
 }
 
 TEST(DataFilesTest, Figure1KbParses) {
-  auto kb = ParseNTriplesFile(DataPath("figure1.nt"));
+  auto kb = LoadKbFile(DataPath("figure1.nt"));
   ASSERT_TRUE(kb.ok()) << kb.status().ToString();
   EXPECT_EQ(kb->num_entities(), testing::BuildFigure1Kb().num_entities());
   EXPECT_EQ(kb->num_edges(), testing::BuildFigure1Kb().num_edges());
@@ -57,7 +57,7 @@ TEST(DataFilesTest, Table1Parses) {
 }
 
 TEST(DataFilesTest, ShippedArtifactsRepairTableI) {
-  auto kb = ParseNTriplesFile(DataPath("figure1.nt"));
+  auto kb = LoadKbFile(DataPath("figure1.nt"));
   auto rules = ParseRulesFile(DataPath("figure4.dr"));
   auto table = Relation::FromCsvFile(DataPath("table1.csv"));
   ASSERT_TRUE(kb.ok() && rules.ok() && table.ok());

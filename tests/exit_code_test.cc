@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kb/ntriples_parser.h"
 #include "obs/http_server.h"
 
 namespace detective {
@@ -26,6 +27,7 @@ namespace {
 constexpr const char* kCleanBin = DETECTIVE_CLEAN_BIN;
 constexpr const char* kLintBin = DETECTIVE_LINT_BIN;
 constexpr const char* kExplainBin = DETECTIVE_EXPLAIN_BIN;
+constexpr const char* kRulegenBin = DETECTIVE_RULEGEN_BIN;
 constexpr const char* kDataDir = DETECTIVE_SOURCE_DIR "/data";
 
 /// Runs `command` (with stdout/stderr silenced) and returns its exit code,
@@ -522,6 +524,31 @@ TEST(ExplainExitCodes, Contract) {
   EXPECT_EQ(ExitCode(std::string(kExplainBin) + " --explain-json=" +
                      explain_path + " --cell=notacell"),
             64);
+}
+
+// detective_rulegen loads its KB through the shared loader, so a `.tsv` KB
+// is read as TSV (an N-Triples read of it fails with exit 1).
+TEST(RulegenExitCodes, TsvKbLoadsLikeEveryOtherTool) {
+  auto kb = LoadKbFile(std::string(kDataDir) + "/figure1.nt");
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  const std::string tsv_path = TempPath("rulegen_kb.tsv");
+  WriteFile(tsv_path, ToTsvTriples(*kb));
+  const std::string positives = TempPath("rulegen_pos.csv");
+  const std::string negatives = TempPath("rulegen_neg.csv");
+  WriteFile(positives,
+            "Name,Country\nAvram Hershko,Israel\nMarie Curie,France\n"
+            "Roald Hoffmann,United States\nMelvin Calvin,United States\n");
+  WriteFile(negatives,
+            "Name,Country\nAvram Hershko,Hungary\nRoald Hoffmann,Ukraine\n");
+  auto rulegen = [&](const std::string& kb_path) {
+    return ExitCode(std::string(kRulegenBin) + " --kb=" + kb_path +
+                    " --positives=" + positives + " --negatives=" + negatives +
+                    " --target=Country --out=" + TempPath("rulegen_out.dr"));
+  };
+  EXPECT_EQ(rulegen(std::string(kDataDir) + "/figure1.nt"), 0);
+  EXPECT_EQ(rulegen(tsv_path), 0);
+  EXPECT_EQ(rulegen("/nonexistent.tsv"), 1);
+  EXPECT_EQ(ExitCode(kRulegenBin), 64);
 }
 
 }  // namespace

@@ -128,7 +128,7 @@ TEST_F(FilePipelineTest, RepairThroughFilesMatchesInMemory) {
   std::string csv_path = ::testing::TempDir() + "/pipeline_dirty.csv";
   ASSERT_TRUE(dirty.ToCsvFile(csv_path).ok());
 
-  auto kb2 = ParseNTriplesFile(kb_path);
+  auto kb2 = LoadKbFile(kb_path);
   ASSERT_TRUE(kb2.ok()) << kb2.status().ToString();
   auto rules2 = ParseRulesFile(rules_path);
   ASSERT_TRUE(rules2.ok()) << rules2.status().ToString();

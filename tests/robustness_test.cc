@@ -149,8 +149,10 @@ TEST_P(ParserRobustness, JsonCursorNeverCrashes) {
   Rng rng(GetParam() + 700);
   for (int trial = 0; trial < 500; ++trial) {
     // Drive the cursor the way the schema readers do; every method must
-    // return a Status/Result on arbitrary bytes.
-    JsonCursor cursor(RandomBytes(&rng, 100, trial % 2 == 0));
+    // return a Status/Result on arbitrary bytes. The cursor views its
+    // input, so the bytes must outlive it.
+    const std::string bytes = RandomBytes(&rng, 100, trial % 2 == 0);
+    JsonCursor cursor(bytes);
     if (cursor.TryConsume('{')) {
       while (true) {
         if (!cursor.TakeString().ok()) break;

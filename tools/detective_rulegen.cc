@@ -5,6 +5,9 @@
 //                     --target=COLUMN --out=RULES.dr
 //                     [--min-support=0.6] [--paths]
 //
+// The KB is read by the loader every tool shares: N-Triples, or TSV triples
+// when the file name ends in .tsv.
+//
 // positives: tuples whose values are all correct; negatives: tuples where
 // only the target column is wrong. The generated candidates are written to
 // --out for the user to review (the paper: "the number is not large so the
@@ -66,7 +69,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 }
 
 int Run(const Args& args) {
-  auto kb = ParseNTriplesFile(args.kb_path);
+  auto kb = LoadKbFile(args.kb_path);
   if (!kb.ok()) {
     std::fprintf(stderr, "error loading KB: %s\n", kb.status().ToString().c_str());
     return 1;
